@@ -8,7 +8,8 @@ completed round, atomically, into a directory keyed by the
 :meth:`repro.simulation.Simulation.resume` reconstructs the campaign
 mid-timeline so it finishes with byte-identical traces and CSVs.
 
-- :class:`RunStore` — the on-disk store (manifest + checkpoint chain);
+- :class:`RunStore` — the on-disk store (manifest + checkpoint chain: a
+  full base, then one :class:`CheckpointDelta` per round);
 - :class:`CheckpointWriter` — the campaign-facing writer hooks;
 - :class:`RunState` — a loaded checkpoint chain ready to resume;
 - :func:`restore_simulation` — rebuild + fast-forward + snapshot install;
@@ -20,6 +21,7 @@ from ..errors import CampaignAborted, StoreError
 from .checkpoint import (
     CHECKPOINT_VERSION,
     Checkpoint,
+    CheckpointDelta,
     ResumeState,
     RunProvenance,
     capture_checkpoint,
@@ -33,6 +35,7 @@ __all__ = [
     "CHECKPOINT_VERSION",
     "CampaignAborted",
     "Checkpoint",
+    "CheckpointDelta",
     "CheckpointWriter",
     "ResumeState",
     "RunProvenance",

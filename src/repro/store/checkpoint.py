@@ -25,38 +25,59 @@ The split of labor is deliberate:
   history (how a process-executor worker respawned mid-timeline catches
   up).
 
-Evidence (trace events, query-log entries) is stored as *delta
-segments* — everything since the previous checkpoint — so checkpoint
-cost stays proportional to one round and the full chain concatenates
-back into the uninterrupted evidence stream.
+Each checkpoint file holds a :class:`CheckpointDelta`: only what changed
+since the previous file — the new rounds, the appended executor history
+and stage metrics, the world entries that differ, and the trace and
+query-log events emitted since.  The first file's delta is taken against
+:meth:`Checkpoint.empty`, so it is the full base.  Folding the deltas in
+chain order (:meth:`Checkpoint.fold`) yields the full :class:`Checkpoint`;
+the writer keeps that fold as its mirror of what the chain holds, so
+each file costs one round's changes, not the whole past.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as _dt
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:
     from ..core.campaign import InitialMeasurement, MeasurementRound
     from ..simulation import Simulation
 
 #: bump when the checkpoint payload shape changes incompatibly.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+#: The world-state tables besides ``servers``, each mapping a key to an
+#: immutable value.
+_TABLES = (
+    "counters", "last_contact", "next_id", "ip_for_label", "cache",
+    "preferred", "ip_domain",
+)
+#: Tables whose changes are found by identity rather than equality: the
+#: resolver always stores a fresh ``_CacheEntry`` and never mutates one.
+_BY_IDENTITY = ("cache",)
+
+_ABSENT = object()
+_UNTOUCHED = {"sessions_accepted": 0}
 
 
 @dataclass
 class Checkpoint:
-    """One atomic unit of persisted campaign progress (picklable)."""
+    """A campaign's full persisted state: the fold of a chain's deltas.
+
+    Every ``world`` table maps a key to its value (``servers`` maps an
+    address to its snapshot, see :func:`capture_world_state`).
+    """
 
     kind: str  # "initial" | "round"
-    clock_now: _dt.datetime
+    clock_now: Optional[_dt.datetime]
     notified: bool
     notified_clock: Optional[_dt.datetime]
-    initial: "InitialMeasurement"
+    initial: Optional["InitialMeasurement"]
     rounds: List["MeasurementRound"]
-    #: mutable world snapshot (see :func:`capture_world_state`).
-    world: dict
+    world: Dict[str, dict]
     #: process-executor world-event history (stage assignments +
     #: notifications); empty for the serial/sharded strategies.
     executor_history: List[object]
@@ -65,11 +86,74 @@ class Checkpoint:
     executor_stage_metrics: List[object]
     #: cumulative :meth:`MetricsRegistry.snapshot` (None when unobserved).
     metrics_snapshot: Optional[dict]
-    #: trace events emitted since the previous checkpoint.
-    trace_segment: List[object]
-    #: query-log entries recorded since the previous checkpoint.
-    querylog_segment: List[object]
     #: stage ordinals consumed so far (re-seeds the resumed tracer).
+    stages_begun: int
+
+    @classmethod
+    def empty(cls) -> "Checkpoint":
+        """The state before the first checkpoint (what file 0 diffs against)."""
+        return cls(
+            kind="", clock_now=None, notified=False, notified_clock=None,
+            initial=None, rounds=[],
+            world={name: {} for name in ("servers", *_TABLES)},
+            executor_history=[], executor_stages_run=0,
+            executor_stage_metrics=[], metrics_snapshot=None, stages_begun=0,
+        )
+
+    def copy(self) -> "Checkpoint":
+        """A copy whose containers a later :meth:`fold` may mutate."""
+        return dataclasses.replace(
+            self,
+            rounds=list(self.rounds),
+            world={name: dict(table) for name, table in self.world.items()},
+            executor_history=list(self.executor_history),
+            executor_stage_metrics=list(self.executor_stage_metrics),
+        )
+
+    def fold(self, delta: "CheckpointDelta") -> None:
+        """Apply the next file of the chain to this state, in place."""
+        self.kind = delta.kind
+        self.clock_now = delta.clock_now
+        self.notified = delta.notified
+        self.notified_clock = delta.notified_clock
+        if delta.initial is not None:
+            self.initial = delta.initial
+        self.rounds.extend(delta.rounds)
+        for name, (changed, removed) in delta.world.items():
+            table = self.world[name]
+            for key in removed:
+                del table[key]
+            table.update(changed)
+        self.executor_history.extend(delta.executor_history)
+        self.executor_stages_run = delta.executor_stages_run
+        self.executor_stage_metrics.extend(delta.executor_stage_metrics)
+        self.metrics_snapshot = delta.metrics_snapshot
+        self.stages_begun = delta.stages_begun
+
+
+@dataclass
+class CheckpointDelta:
+    """One checkpoint file: what changed since the previous file (picklable)."""
+
+    kind: str  # "initial" | "round"
+    clock_now: _dt.datetime
+    notified: bool
+    notified_clock: Optional[_dt.datetime]
+    #: set in the first file only.
+    initial: Optional["InitialMeasurement"]
+    #: rounds completed since the previous file.
+    rounds: List["MeasurementRound"]
+    #: per world table: (entries added or changed, keys removed).
+    world: Dict[str, Tuple[dict, list]]
+    #: executor history events and stage metrics appended since.
+    executor_history: List[object]
+    executor_stages_run: int
+    executor_stage_metrics: List[object]
+    metrics_snapshot: Optional[dict]
+    #: trace events emitted since the previous file.
+    trace_segment: List[object]
+    #: query-log entries recorded since the previous file.
+    querylog_segment: List[object]
     stages_begun: int
     version: int = CHECKPOINT_VERSION
 
@@ -97,75 +181,87 @@ class RunProvenance:
 # -- capture ------------------------------------------------------------------
 
 
-def capture_world_state(sim: "Simulation") -> dict:
-    """Snapshot every mutable value the rebuild cannot reproduce.
+def _server_state(server) -> dict:
+    return {
+        "sessions_accepted": server.sessions_accepted,
+        "crash_count": server.crash_count,
+        "blacklisted": server._blacklisted,
+        "greylist": dict(server._greylist_first_seen),
+        "inbox": list(server.inbox),
+        "noise_state": server._noise.getstate(),
+        "stub_next_id": (
+            server.resolver._next_id if server.resolver is not None else None
+        ),
+    }
 
-    Servers are included only when they accepted at least one session:
-    every server-side mutation (inbox, greylist, blacklist, crash count,
+
+def capture_world_state(sim: "Simulation", held: Dict[str, dict]) -> dict:
+    """The mutable world state the rebuild cannot reproduce, as a delta
+    against ``held`` (the world tables the chain already holds).
+
+    A server is captured when its ``sessions_accepted`` moved: every
+    server-side mutation (inbox, greylist, blacklist, crash count,
     banner-noise draws, stub query ids) happens inside a session, so an
-    untouched server is already in its rebuilt state.  Under the process
+    unchanged counter means an unchanged server, and a server that never
+    accepted one is already in its rebuilt state.  Under the process
     executor the parent's servers never accept sessions at all (probing
     happens in the shard replicas, which rebuild from the event
-    history), which keeps this snapshot uniformly small.
+    history), which keeps the server table empty.  The other tables are
+    compared key by key (see ``_BY_IDENTITY``).
     """
     campaign = sim.campaign
-    servers: Dict[str, dict] = {}
-    for ip, server in campaign.network._servers.items():
-        if server.sessions_accepted == 0:
-            continue
-        servers[ip] = {
-            "sessions_accepted": server.sessions_accepted,
-            "crash_count": server.crash_count,
-            "blacklisted": server._blacklisted,
-            "greylist": dict(server._greylist_first_seen),
-            "inbox": list(server.inbox),
-            "noise_state": server._noise.getstate(),
-            "stub_next_id": (
-                server.resolver._next_id if server.resolver is not None else None
-            ),
-        }
-    resolver = campaign.resolver
-    labels = campaign.labels
-    ethics = campaign.ethics
-    network = campaign.network
-    return {
-        "servers": servers,
-        "network": {
+    network, ethics, labels, resolver = (
+        campaign.network, campaign.ethics, campaign.labels, campaign.resolver
+    )
+    held_servers = held["servers"]
+    servers = {
+        ip: _server_state(server)
+        for ip, server in network._servers.items()
+        if server.sessions_accepted
+        != held_servers.get(ip, _UNTOUCHED)["sessions_accepted"]
+    }
+    live = {
+        "counters": {
             "connection_attempts": network.connection_attempts,
             "connections_established": network.connections_established,
-        },
-        "ethics": {
-            "last_contact": dict(ethics._last_contact),
-            "active": ethics._active,
+            "ethics_active": ethics._active,
             "peak_concurrency": ethics.peak_concurrency,
             "connections_opened": ethics.connections_opened,
-        },
-        "labels": {
             "next_suite": labels._next_suite,
-            "next_id": dict(labels._next_id),
-            "ip_for_label": dict(labels._ip_for_label),
-        },
-        "resolver": {
-            "cache": dict(resolver._cache),
             "query_count": resolver.query_count,
             "cache_hits": resolver.cache_hits,
+            "stub_next_id": campaign._stub._next_id,
         },
-        "stub_next_id": campaign._stub._next_id,
-        "preferred": dict(campaign._preferred),
-        "ip_domain": dict(campaign._ip_domain),
+        "last_contact": ethics._last_contact,
+        "next_id": labels._next_id,
+        "ip_for_label": labels._ip_for_label,
+        "cache": resolver._cache,
+        "preferred": campaign._preferred,
+        "ip_domain": campaign._ip_domain,
     }
+    delta = {"servers": (servers, [])}
+    for name in _TABLES:
+        old, new = held[name], live[name]
+        if name in _BY_IDENTITY:
+            changed = {k: v for k, v in new.items() if old.get(k, _ABSENT) is not v}
+        else:
+            changed = {k: v for k, v in new.items() if old.get(k, _ABSENT) != v}
+        delta[name] = (changed, [key for key in old if key not in new])
+    return delta
 
 
 def capture_checkpoint(
     sim: "Simulation",
+    held: Checkpoint,
     *,
     kind: str,
     rounds: List["MeasurementRound"],
     notified: bool,
     trace_mark: int,
     qlog_mark: int,
-) -> Checkpoint:
-    """Build the checkpoint payload for the campaign's current state.
+) -> CheckpointDelta:
+    """The next checkpoint file: the campaign's current state as a delta
+    against ``held``, the state the chain written so far folds to.
 
     ``trace_mark``/``qlog_mark`` are the positions up to which previous
     checkpoints already persisted evidence; only the delta is stored.
@@ -174,17 +270,20 @@ def capture_checkpoint(
     executor = campaign.executor
     obs = sim.observation
     tracing = obs is not None and obs.tracer.enabled
-    return Checkpoint(
+    history = getattr(executor, "_history", ())
+    return CheckpointDelta(
         kind=kind,
         clock_now=campaign.clock.now,
         notified=notified,
         notified_clock=campaign._notified_clock,
-        initial=campaign._require_initial(),
-        rounds=list(rounds),
-        world=capture_world_state(sim),
-        executor_history=list(getattr(executor, "_history", ())),
+        initial=campaign._require_initial() if held.initial is None else None,
+        rounds=list(rounds[len(held.rounds):]),
+        world=capture_world_state(sim, held.world),
+        executor_history=list(history[len(held.executor_history):]),
         executor_stages_run=getattr(executor, "_stages_run", 0),
-        executor_stage_metrics=list(executor.metrics.stages),
+        executor_stage_metrics=list(
+            executor.metrics.stages[len(held.executor_stage_metrics):]
+        ),
         metrics_snapshot=obs.metrics.snapshot() if obs is not None else None,
         trace_segment=obs.tracer.events_since(trace_mark) if tracing else [],
         querylog_segment=campaign.responder.log.entries_since(qlog_mark),
@@ -195,10 +294,10 @@ def capture_checkpoint(
 # -- restore ------------------------------------------------------------------
 
 
-def install_world_state(sim: "Simulation", state: dict) -> None:
-    """Overwrite the rebuilt world's mutable state with a snapshot."""
+def install_world_state(sim: "Simulation", world: Dict[str, dict]) -> None:
+    """Overwrite the rebuilt world's mutable state with a full world state."""
     campaign = sim.campaign
-    for ip, snap in state["servers"].items():
+    for ip, snap in world["servers"].items():
         server = campaign.network.server_at(ip)
         server.sessions_accepted = snap["sessions_accepted"]
         server.crash_count = snap["crash_count"]
@@ -208,25 +307,26 @@ def install_world_state(sim: "Simulation", state: dict) -> None:
         server._noise.setstate(snap["noise_state"])
         if snap["stub_next_id"] is not None and server.resolver is not None:
             server.resolver._next_id = snap["stub_next_id"]
+    counters = world["counters"]
     network = campaign.network
-    network.connection_attempts = state["network"]["connection_attempts"]
-    network.connections_established = state["network"]["connections_established"]
+    network.connection_attempts = counters["connection_attempts"]
+    network.connections_established = counters["connections_established"]
     ethics = campaign.ethics
-    ethics._last_contact = dict(state["ethics"]["last_contact"])
-    ethics._active = state["ethics"]["active"]
-    ethics.peak_concurrency = state["ethics"]["peak_concurrency"]
-    ethics.connections_opened = state["ethics"]["connections_opened"]
+    ethics._last_contact = dict(world["last_contact"])
+    ethics._active = counters["ethics_active"]
+    ethics.peak_concurrency = counters["peak_concurrency"]
+    ethics.connections_opened = counters["connections_opened"]
     labels = campaign.labels
-    labels._next_suite = state["labels"]["next_suite"]
-    labels._next_id = dict(state["labels"]["next_id"])
-    labels._ip_for_label = dict(state["labels"]["ip_for_label"])
+    labels._next_suite = counters["next_suite"]
+    labels._next_id = dict(world["next_id"])
+    labels._ip_for_label = dict(world["ip_for_label"])
     resolver = campaign.resolver
-    resolver._cache = dict(state["resolver"]["cache"])
-    resolver.query_count = state["resolver"]["query_count"]
-    resolver.cache_hits = state["resolver"]["cache_hits"]
-    campaign._stub._next_id = state["stub_next_id"]
-    campaign._preferred = dict(state["preferred"])
-    campaign._ip_domain = dict(state["ip_domain"])
+    resolver._cache = dict(world["cache"])
+    resolver.query_count = counters["query_count"]
+    resolver.cache_hits = counters["cache_hits"]
+    campaign._stub._next_id = counters["stub_next_id"]
+    campaign._preferred = dict(world["preferred"])
+    campaign._ip_domain = dict(world["ip_domain"])
 
 
 def restore_simulation(sim: "Simulation", state) -> None:
@@ -302,8 +402,9 @@ def restore_simulation(sim: "Simulation", state) -> None:
         notification_report=notification_report,
     )
     # A store writer attached to this simulation continues the same
-    # chain: it must keep the valid manifest prefix it resumed from.
-    sim._store_entries = list(state.entries)
+    # chain: it keeps the valid manifest prefix it resumed from and diffs
+    # against the state that prefix folds to.
+    sim._store_chain = (state.entries, checkpoint)
     sim.provenance = RunProvenance(
         run_id=state.run_id,
         config_hash=state.config.content_hash(),

@@ -6,9 +6,13 @@ Layout, under the store root::
       run-<hash8>/                 one directory per RunConfig content hash
         config.json                the full RunConfig (runtime fields too)
         manifest.json              ordered checkpoint index + digests
-        checkpoint-0000.pkl        after run_initial
-        checkpoint-0001.pkl        after round 1
+        checkpoint-0000.pkl        after run_initial: the full base
+        checkpoint-0001.pkl        after round 1: what round 1 changed
         ...
+
+Every file after the first is a delta (see :mod:`repro.store.checkpoint`),
+so the chain grows by one round's changes per round, and loading decodes
+each file once, folds it into one running state and drops it.
 
 Durability relies on exactly two properties, both provided by
 :func:`_atomic_write` (write to a temp file in the same directory,
@@ -20,10 +24,12 @@ Durability relies on exactly two properties, both provided by
   references it, so a kill between the two leaves a manifest that
   simply does not know about the orphan file yet.
 
-On load, every manifest entry's SHA-256 and size are re-verified and
-the longest valid prefix wins: a truncated or corrupted newest
-checkpoint silently degrades to the one before it (the torn-checkpoint
-test exercises exactly this).
+On load, the manifest is validated (a malformed one, or one written by
+another checkpoint format, raises :class:`~repro.errors.StoreError`),
+every entry's SHA-256 and size are re-verified and the longest valid
+prefix wins: a truncated or corrupted checkpoint ends the chain at the
+file before it, and no later delta is folded (the torn-checkpoint and
+mid-chain-hole tests exercise exactly this).
 """
 
 from __future__ import annotations
@@ -41,10 +47,11 @@ try:
 except ImportError:  # non-unix: locking degrades to a no-op
     fcntl = None  # type: ignore[assignment]
 
-from ..errors import CampaignAborted, StoreError
+from ..errors import CampaignAborted, ReproError, StoreError
 from .checkpoint import (
     CHECKPOINT_VERSION,
     Checkpoint,
+    CheckpointDelta,
     capture_checkpoint,
 )
 
@@ -138,7 +145,7 @@ class RunState:
     run_id: str
     run_dir: str
     config: "RunConfig"
-    #: the newest usable checkpoint (end of the valid prefix).
+    #: the valid prefix of the chain, folded into one full state.
     checkpoint: Checkpoint
     #: per-checkpoint trace deltas, in checkpoint order.
     trace_segments: List[list]
@@ -152,12 +159,14 @@ class CheckpointWriter:
     """Writes one run's checkpoint chain; bound to a live simulation.
 
     The campaign calls :meth:`after_initial` / :meth:`after_round`; each
-    call pickles a :class:`~repro.store.checkpoint.Checkpoint`, renames
-    it into place, then publishes it in the manifest.  ``abort_after_round``
-    turns the writer into a fault injector: once that many rounds are
-    checkpointed it raises :class:`~repro.errors.CampaignAborted` —
-    *after* the checkpoint hit disk — which is how tests and the CI
-    smoke job kill a run at a deterministic point.
+    call pickles a :class:`~repro.store.checkpoint.CheckpointDelta`
+    against ``held`` — the state the chain written so far folds to —
+    renames it into place, publishes it in the manifest, then folds it
+    into ``held``.  ``abort_after_round`` turns the writer into a fault
+    injector: once that many rounds are checkpointed it raises
+    :class:`~repro.errors.CampaignAborted` — *after* the checkpoint hit
+    disk — which is how tests and the CI smoke job kill a run at a
+    deterministic point.
     """
 
     def __init__(
@@ -166,6 +175,7 @@ class CheckpointWriter:
         sim: "Simulation",
         *,
         entries: List[dict],
+        held: Checkpoint,
         abort_after_round: Optional[int] = None,
         lock: Optional[StoreLock] = None,
     ) -> None:
@@ -173,6 +183,7 @@ class CheckpointWriter:
         self.sim = sim
         self.abort_after_round = abort_after_round
         self._entries = entries
+        self._held = held
         #: the single-writer lock this writer owns (released by
         #: :meth:`close`); ``None`` for writers built directly in tests.
         self.lock = lock
@@ -214,18 +225,19 @@ class CheckpointWriter:
     # -- persistence ----------------------------------------------------------
 
     def _write(self, kind: str, *, rounds: list, notified: bool) -> None:
-        checkpoint = capture_checkpoint(
+        delta = capture_checkpoint(
             self.sim,
+            self._held,
             kind=kind,
             rounds=rounds,
             notified=notified,
             trace_mark=self._trace_mark,
             qlog_mark=self._qlog_mark,
         )
-        self._trace_mark += len(checkpoint.trace_segment)
-        self._qlog_mark += len(checkpoint.querylog_segment)
+        self._trace_mark += len(delta.trace_segment)
+        self._qlog_mark += len(delta.querylog_segment)
 
-        data = pickle.dumps(checkpoint, protocol=pickle.HIGHEST_PROTOCOL)
+        data = pickle.dumps(delta, protocol=pickle.HIGHEST_PROTOCOL)
         filename = f"checkpoint-{len(self._entries):04d}.pkl"
         _atomic_write(os.path.join(self.run_dir, filename), data)
         self._entries.append(
@@ -235,7 +247,7 @@ class CheckpointWriter:
                 "size": len(data),
                 "kind": kind,
                 "rounds_completed": len(rounds),
-                "clock_now": checkpoint.clock_now.isoformat(),
+                "clock_now": delta.clock_now.isoformat(),
             }
         )
         manifest = {
@@ -249,6 +261,7 @@ class CheckpointWriter:
             os.path.join(self.run_dir, "manifest.json"),
             json.dumps(manifest, sort_keys=True, indent=2).encode("utf-8"),
         )
+        self._held.fold(delta)
 
 
 class RunStore:
@@ -274,9 +287,10 @@ class RunStore:
         lock = self.acquire_lock(sim.config)
         resumed = getattr(sim, "_resume", None)
         if resumed is not None:
-            entries = list(getattr(sim, "_store_entries", []))
+            # Copies: the loaded RunState may seed another resume.
+            entries, held = sim._store_chain
             return CheckpointWriter(
-                run_dir, sim, entries=entries,
+                run_dir, sim, entries=list(entries), held=held.copy(),
                 abort_after_round=self.abort_after_round, lock=lock,
             )
         # A fresh run of this config replaces any previous attempt: the
@@ -305,7 +319,7 @@ class RunStore:
             lock.release()
             raise
         return CheckpointWriter(
-            run_dir, sim, entries=[],
+            run_dir, sim, entries=[], held=Checkpoint.empty(),
             abort_after_round=self.abort_after_round, lock=lock,
         )
 
@@ -393,33 +407,50 @@ class RunStore:
         return self._load_run(name, manifest)
 
     def _read_manifest(self, name: str) -> Optional[dict]:
+        """The run's manifest; ``None`` when it is unreadable or of another
+        manifest version, :class:`StoreError` when it is malformed."""
         path = os.path.join(self.root, name, "manifest.json")
         try:
             with open(path, "r") as handle:
                 manifest = json.load(handle)
         except (OSError, ValueError):
             return None
+        if not isinstance(manifest, dict):
+            raise StoreError(f"malformed manifest {path}: not a JSON object")
         if manifest.get("version") != MANIFEST_VERSION:
             return None
+        problem = _manifest_problem(manifest)
+        if problem is not None:
+            raise StoreError(f"malformed manifest {path}: {problem}")
         return manifest
 
     def _load_run(self, name: str, manifest: dict) -> RunState:
-        from ..api import RunConfig
-
+        version = manifest["checkpoint_version"]
+        if version != CHECKPOINT_VERSION:
+            raise StoreError(
+                f"run {name!r} holds checkpoint format v{version}, but this "
+                f"build reads only v{CHECKPOINT_VERSION}; re-run the campaign "
+                "with --store to write a new chain"
+            )
+        config = _decode_config(name, manifest)
         run_dir = os.path.join(self.root, name)
-        config = RunConfig.from_dict(manifest["config"])
+        state = Checkpoint.empty()
         valid_entries: List[dict] = []
-        checkpoints: List[Checkpoint] = []
-        for entry in manifest.get("checkpoints", []):
-            checkpoint = self._load_checkpoint(run_dir, entry)
-            if checkpoint is None:
+        trace_segments: List[list] = []
+        querylog_segments: List[list] = []
+        for entry in manifest["checkpoints"]:
+            delta = self._load_checkpoint(run_dir, entry)
+            if delta is None:
                 # Torn or corrupted file: the chain ends at the entry
                 # before it (only the newest write can ever be torn, but
-                # a mid-chain hole must not be skipped over either).
+                # a mid-chain hole must not be skipped over either, and
+                # no later delta applies without it).
                 break
+            state.fold(delta)
+            trace_segments.append(delta.trace_segment)
+            querylog_segments.append(delta.querylog_segment)
             valid_entries.append(entry)
-            checkpoints.append(checkpoint)
-        if not checkpoints:
+        if not valid_entries:
             raise StoreError(
                 f"run {name!r} has no usable checkpoint (all torn or missing)"
             )
@@ -427,13 +458,15 @@ class RunStore:
             run_id=name,
             run_dir=run_dir,
             config=config,
-            checkpoint=checkpoints[-1],
-            trace_segments=[c.trace_segment for c in checkpoints],
-            querylog_segments=[c.querylog_segment for c in checkpoints],
+            checkpoint=state,
+            trace_segments=trace_segments,
+            querylog_segments=querylog_segments,
             entries=valid_entries,
         )
 
-    def _load_checkpoint(self, run_dir: str, entry: dict) -> Optional[Checkpoint]:
+    def _load_checkpoint(
+        self, run_dir: str, entry: dict
+    ) -> Optional[CheckpointDelta]:
         path = os.path.join(run_dir, entry["file"])
         try:
             with open(path, "rb") as handle:
@@ -443,11 +476,57 @@ class RunStore:
         if len(data) != entry["size"] or _digest(data) != entry["sha256"]:
             return None
         try:
-            checkpoint = pickle.loads(data)
+            delta = pickle.loads(data)
         except Exception:
             return None
-        if not isinstance(checkpoint, Checkpoint):
+        if not isinstance(delta, CheckpointDelta):
             return None
-        if checkpoint.version != CHECKPOINT_VERSION:
+        if delta.version != CHECKPOINT_VERSION:
             return None
-        return checkpoint
+        return delta
+
+
+def _manifest_problem(manifest: dict) -> Optional[str]:
+    """What is wrong with a manifest's shape, or ``None`` if nothing is."""
+    for key, kind in (
+        ("checkpoint_version", int),
+        ("config_hash", str),
+        ("config", dict),
+        ("checkpoints", list),
+    ):
+        if not isinstance(manifest.get(key), kind):
+            return f"{key!r} is missing or not of type {kind.__name__}"
+    for index, entry in enumerate(manifest["checkpoints"]):
+        if not isinstance(entry, dict):
+            return f"checkpoint entry {index} is not an object"
+        # The writer names file k checkpoint-<k>.pkl; anything else
+        # (another directory, a different position) is not its chain.
+        if entry.get("file") != f"checkpoint-{index:04d}.pkl":
+            return f"checkpoint entry {index} names file {entry.get('file')!r}"
+        if not isinstance(entry.get("sha256"), str):
+            return f"checkpoint entry {index} has no sha256 digest"
+        if not isinstance(entry.get("size"), int):
+            return f"checkpoint entry {index} has no integer size"
+    return None
+
+
+def _decode_config(name: str, manifest: dict) -> "RunConfig":
+    """The run's stored config, which must hash to the manifest's hash."""
+    from ..api import RunConfig
+
+    try:
+        config = RunConfig.from_dict(manifest["config"])
+        config_hash = config.content_hash()
+    except (
+        ReproError, LookupError, TypeError, ValueError, AttributeError,
+        ArithmeticError,
+    ) as error:
+        raise StoreError(
+            f"run {name!r}: the manifest's config does not decode ({error!r})"
+        ) from error
+    if config_hash != manifest["config_hash"]:
+        raise StoreError(
+            f"run {name!r}: the manifest's config does not match its config "
+            "hash"
+        )
+    return config

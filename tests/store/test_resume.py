@@ -94,6 +94,35 @@ def test_serial_exception_mid_timeline_resumes_byte_identical(
     _assert_matches_reference(resumed, obs2, reference, tmp_path)
 
 
+def test_resume_of_a_resume_is_byte_identical(reference, tmp_path):
+    """Abort after round 2, resume and abort after round 5, resume again.
+
+    The chain is then written by three writer sessions; each resumed
+    writer must diff against the state its predecessors' files fold to.
+    """
+    config = RunConfig(scale=SCALE, seed=SEED, executor="serial", trace=True)
+    store = RunStore(str(tmp_path / "store"))
+    store.abort_after_round = 2
+    with pytest.raises(CampaignAborted):
+        Simulation.build(config=config, observation=Observation(trace=True)).run(
+            store=store
+        )
+
+    store.abort_after_round = 5
+    middle = Simulation.resume(store, observation=Observation(trace=True))
+    assert middle.provenance.rounds_completed == 2
+    with pytest.raises(CampaignAborted):
+        middle.run(store=store)
+
+    store.abort_after_round = None
+    obs = Observation(trace=True)
+    resumed = Simulation.resume(store, observation=obs)
+    assert resumed.provenance.rounds_completed == 5
+    resumed.run(store=store)
+
+    _assert_matches_reference(resumed, obs, reference, tmp_path)
+
+
 def test_process_worker_sigkill_between_rounds_resumes_byte_identical(
     reference, tmp_path
 ):

@@ -7,6 +7,7 @@ hash-keyed store layout — everything below the full resume tests in
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
@@ -14,6 +15,7 @@ import shutil
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import RunConfig
 from repro.core.campaign import CampaignConfig
@@ -23,6 +25,8 @@ from repro.internet.population import PopulationConfig
 from repro.simulation import Simulation
 from repro.store import CampaignAborted, RunStore, StoreError
 from repro.store.runstore import _atomic_write
+
+from ..exec.test_determinism import canonicalize
 
 SCALE = 0.002
 SEED = 5
@@ -190,3 +194,152 @@ class TestWriter:
         assert len(state.checkpoint.rounds) == len(sim.result.rounds)
         # initial + one entry per round, freshly renumbered from zero
         assert len(state.entries) == len(sim.result.rounds) + 1
+
+
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    """A run aborted after round 3 (four files), plus its uninterrupted
+    reference result."""
+    root = tmp_path_factory.mktemp("chain")
+    config = RunConfig(scale=SCALE, seed=SEED, executor="serial")
+    store = RunStore(str(root))
+    store.abort_after_round = 3
+    with pytest.raises(CampaignAborted):
+        Simulation.build(config=config).run(store=store)
+    store.abort_after_round = None
+    reference = Simulation.build(config=config).run()
+    return SimpleNamespace(
+        root=root,
+        run_dir=root / store.runs()[0],
+        reference=repr(canonicalize(reference)).encode(),
+    )
+
+
+class TestDeltaChain:
+    def test_round_files_are_small_deltas(self, chain):
+        manifest = json.loads((chain.run_dir / "manifest.json").read_text())
+        sizes = [entry["size"] for entry in manifest["checkpoints"]]
+        assert len(sizes) == 4
+        base, rounds = sizes[0], sizes[1:]
+        assert all(size <= base / 5 for size in rounds), sizes
+
+    def test_mid_chain_hole_ends_the_chain(self, chain, tmp_path):
+        copy_root = tmp_path / "store"
+        shutil.copytree(chain.root, copy_root)
+        store = RunStore(str(copy_root))
+        hole = copy_root / store.runs()[0] / "checkpoint-0001.pkl"
+        data = bytearray(hole.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        hole.write_bytes(bytes(data))
+
+        state = store.load_latest()
+        # Files 2 and 3 are intact, but no delta applies past the hole.
+        assert state.checkpoint.kind == "initial"
+        assert state.checkpoint.rounds == []
+        assert len(state.entries) == 1
+
+        resumed = Simulation.resume(state)
+        result = resumed.run(store=store)
+        assert repr(canonicalize(result)).encode() == chain.reference
+        # The resumed writer rewrote the chain from the hole onwards.
+        finished = store.load_latest()
+        assert len(finished.checkpoint.rounds) == len(result.rounds)
+
+
+def _rewrite_manifest(run_dir, mutate):
+    path = run_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    mutate(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+class TestManifestValidation:
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda m: m.update(checkpoints=[{}]), "checkpoint entry 0"),
+            (lambda m: m.pop("config"), "'config'"),
+            (lambda m: m.update(config={"scale": "abc"}), "does not decode"),
+            (lambda m: m.update(checkpoints=5), "'checkpoints'"),
+            (
+                lambda m: m["checkpoints"][1].update(file="../checkpoint-0001.pkl"),
+                "names file",
+            ),
+            (lambda m: m["config"].update(seed=SEED + 1), "config hash"),
+        ],
+    )
+    def test_malformed_manifest_raises_store_error(
+        self, aborted, tmp_path, mutate, message
+    ):
+        store, copy_root = _copy_store(aborted, tmp_path)
+        _rewrite_manifest(copy_root / store.runs()[0], mutate)
+        with pytest.raises(StoreError, match=message):
+            store.load_latest()
+
+    def test_old_checkpoint_format_is_refused(self, aborted, tmp_path):
+        store, copy_root = _copy_store(aborted, tmp_path)
+        _rewrite_manifest(
+            copy_root / store.runs()[0],
+            lambda m: m.update(checkpoint_version=1),
+        )
+        with pytest.raises(StoreError, match=r"v1.*reads only v2.*re-run"):
+            store.load_latest()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=12),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    """Every position in a JSON tree, as a tuple of keys/indices."""
+    yield prefix
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def fuzz_store(aborted, tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz") / "store"
+    shutil.copytree(aborted.root, root)
+    store = RunStore(str(root))
+    run_dir = root / store.runs()[0]
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    return SimpleNamespace(
+        store=store, run_dir=run_dir, manifest=manifest,
+        paths=sorted(_paths(manifest), key=repr),
+    )
+
+
+class TestManifestFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_mutation_loads_or_raises_store_error(self, fuzz_store, data):
+        manifest = copy.deepcopy(fuzz_store.manifest)
+        path = data.draw(st.sampled_from(fuzz_store.paths), label="path")
+        if not path:
+            manifest = data.draw(_JSON, label="manifest")
+        else:
+            parent = manifest
+            for key in path[:-1]:
+                parent = parent[key]
+            if data.draw(st.booleans(), label="delete"):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(_JSON, label="value")
+        (fuzz_store.run_dir / "manifest.json").write_text(json.dumps(manifest))
+        try:
+            state = fuzz_store.store.load_latest()
+        except StoreError:
+            return
+        assert state.entries
