@@ -391,7 +391,6 @@ class RunHandle:
         resumed = getattr(sim, "_resume", None)
         if resumed is not None:
             self._rounds = list(resumed.rounds)
-        self._domain_index: Optional[Dict[str, object]] = None
 
     # -- introspection --------------------------------------------------------
 
@@ -508,16 +507,9 @@ class RunHandle:
 
     # -- census + longitudinal queries ---------------------------------------
 
-    def _domains(self) -> Dict[str, object]:
-        if self._domain_index is None:
-            self._domain_index = {
-                d.name: d for d in self._sim.population.domains
-            }
-        return self._domain_index
-
     def census_row(self, domain: str) -> dict:
         """The population/census view of one domain (no probing)."""
-        entry = self._domains().get(domain)
+        entry = self._sim.population.get(domain)
         if entry is None:
             raise SimulationError(f"unknown domain {domain!r}")
         campaign = self._sim.campaign

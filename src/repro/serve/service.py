@@ -25,17 +25,18 @@ a request-serving engine.  The design splits into three small pieces:
   so health checks stay responsive under load.
 
 - **Accounting.**  Every request records its wall-clock latency and
-  outcome.  Exact percentiles are computed from the retained samples
-  (the same no-approximation policy as :class:`repro.obs.metrics.
-  Histogram`), surfaced through :meth:`stats` / ``run_status``, mirrored
-  into the handle's observation metrics registry when one is attached,
-  and rolled into performance-ledger records by
-  :mod:`repro.serve.loadtest`.
+  outcome.  Latencies go into one fixed log-bucket histogram: O(1) per
+  request, bounded memory, quantiles within 2.2% and exact ``count`` /
+  ``max``.  They are surfaced through :meth:`stats` / ``run_status`` and
+  mirrored into the handle's observation metrics registry when one is
+  attached; :mod:`repro.serve.loadtest` measures latency client-side
+  for performance-ledger records.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
+import math
 import queue
 import threading
 import time
@@ -61,13 +62,55 @@ METHODS = (
 PROBE_METHODS = ("probe_domain", "check_mta")
 
 
+def _nearest_rank(q: float, count: int) -> int:
+    """The 1-based nearest-rank position of the q-quantile of ``count``."""
+    return max(1, min(count, int(-(-q * count // 1))))
+
+
 def exact_percentile(samples: List[float], q: float) -> float:
     """The exact q-quantile (nearest-rank) of a non-empty sample list."""
     if not samples:
         raise ServeError("percentile of an empty sample set")
-    ordered = sorted(samples)
-    rank = max(1, min(len(ordered), int(-(-q * len(ordered) // 1))))
-    return ordered[rank - 1]
+    return sorted(samples)[_nearest_rank(q, len(samples)) - 1]
+
+
+class _LatencyHistogram:
+    """Latencies (ms) in log-scale buckets; at most MAX_BUCKETS kept.
+
+    A quantile is its nearest-rank bucket's upper bound clamped to the
+    exact max: at most ``2 ** (1 / BUCKETS_PER_OCTAVE) - 1`` (≈ 2.2%)
+    above the exact value.  Not thread-safe; the service guards it.
+    """
+
+    BUCKETS_PER_OCTAVE = 32
+    #: ~1 µs to ~4.7 h; a request times out long before the top.
+    LOWEST = -10 * BUCKETS_PER_OCTAVE
+    HIGHEST = 24 * BUCKETS_PER_OCTAVE
+    MAX_BUCKETS = HIGHEST - LOWEST + 1
+
+    def __init__(self) -> None:
+        self._buckets: Dict[int, int] = {}
+        self.count = 0
+        self.max = 0.0
+
+    def record(self, ms: float) -> None:
+        index = (
+            math.floor(math.log2(ms) * self.BUCKETS_PER_OCTAVE)
+            if ms > 0 else self.LOWEST
+        )
+        index = min(self.HIGHEST, max(self.LOWEST, index))
+        self._buckets[index] = self._buckets.get(index, 0) + 1
+        self.count += 1
+        self.max = max(self.max, ms)
+
+    def quantile(self, q: float) -> float:
+        """The q-quantile of a non-empty histogram (see class docstring)."""
+        rank, seen = _nearest_rank(q, self.count), 0
+        for index in sorted(self._buckets):
+            seen += self._buckets[index]
+            if seen >= rank:
+                break
+        return min(self.max, 2.0 ** ((index + 1) / self.BUCKETS_PER_OCTAVE))
 
 
 @dataclass
@@ -107,7 +150,7 @@ class ScanService:
         self._limiters: Dict[str, EthicsControls] = {}
         self._guard = threading.Lock()
         # -- accounting (guarded by _guard) --
-        self._latencies: Dict[str, List[float]] = {}
+        self._latency = _LatencyHistogram()
         self._counts: Dict[str, int] = {}
         self._rejected_queue = 0
         self._rejected_ratelimit = 0
@@ -194,6 +237,15 @@ class ScanService:
             self._record(method, started, status)
             return status, body
 
+        since = payload.get("since", 0)
+        if method == "patch_status_since" and (
+            type(since) is not int or since < 0  # not isinstance: rejects bools
+        ):
+            return 400, {
+                "error": f"since must be a non-negative integer, got {since!r}",
+                "reason": "bad-since",
+            }
+
         release_key: Optional[str] = None
         if method in PROBE_METHODS:
             target = str(payload.get("target", ""))
@@ -263,9 +315,8 @@ class ScanService:
             if method == "spf_census_row":
                 return 200, self.handle.census_row(str(payload.get("target", "")))
             # patch_status_since
-            since = int(payload.get("since", 0))
             return 200, self.handle.patch_status_since(
-                str(payload.get("target", "")), since
+                str(payload.get("target", "")), payload.get("since", 0)
             )
         except ReproError as error:
             # Domain-level refusals (unknown domain, initial sweep not
@@ -280,26 +331,15 @@ class ScanService:
             # (5xx outcomes are counted where they arise — the dispatch
             # loop — so a failed request is never double-counted here.)
             self._counts[method] = self._counts.get(method, 0) + 1
-            self._latencies.setdefault(method, []).append(elapsed_ms)
+            self._latency.record(elapsed_ms)
         observation = self.handle.simulation.observation
         if observation is not None:
             observation.metrics.counter("serve.requests").inc(key=method)
             observation.metrics.histogram("serve.request_ms").observe(elapsed_ms)
 
-    def latencies_ms(self) -> List[float]:
-        """Every recorded request latency (milliseconds), all methods."""
-        with self._guard:
-            out: List[float] = []
-            for samples in self._latencies.values():
-                out.extend(samples)
-            return out
-
     def stats(self) -> dict:
-        """Request counters and exact latency percentiles."""
+        """Request counters and histogram latency percentiles."""
         with self._guard:
-            merged: List[float] = []
-            for samples in self._latencies.values():
-                merged.extend(samples)
             out = {
                 "requests": sum(self._counts.values()),
                 "by_method": dict(sorted(self._counts.items())),
@@ -310,14 +350,15 @@ class ScanService:
                 "queued_now": self._queue.qsize(),
                 "uptime_seconds": round(time.time() - self._started_at, 3),
             }
-        if merged:
-            out["latency_ms"] = {
-                "count": len(merged),
-                "p50": round(exact_percentile(merged, 0.50), 3),
-                "p90": round(exact_percentile(merged, 0.90), 3),
-                "p99": round(exact_percentile(merged, 0.99), 3),
-                "max": round(max(merged), 3),
-            }
+            latency = self._latency
+            if latency.count:
+                out["latency_ms"] = {
+                    "count": latency.count,
+                    "p50": round(latency.quantile(0.50), 3),
+                    "p90": round(latency.quantile(0.90), 3),
+                    "p99": round(latency.quantile(0.99), 3),
+                    "max": round(latency.max, 3),
+                }
         return out
 
     def run_status(self) -> dict:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import datetime as _dt
 import http.client
 import json
+import socket
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro import api
 from repro.core.ethics import EthicsControls
 from repro.errors import ServeError
 from repro.serve import ScanClient, ScanService, start_server
+from repro.serve.httpd import MAX_BODY_BYTES
 
 SCALE = 0.002
 SEED = 5
@@ -138,6 +140,11 @@ class TestTCPEndpoints:
         with _client(tcp_server) as client:
             with pytest.raises(ServeError, match="unknown domain"):
                 client.census_row("no-such.invalid")
+            status, body = client.request(
+                "spf_census_row", {"target": "no-such.invalid"}
+            )
+            assert status == 404
+            assert "unknown domain" in body["error"]
 
     def test_bad_json_body_400(self, tcp_server):
         host, port = tcp_server.server_address[:2]
@@ -165,6 +172,61 @@ class TestTCPEndpoints:
             assert "JSON object" in body["error"]
         finally:
             conn.close()
+
+
+def _raw_post(server, headers: bytes):
+    """Send a body-less POST with hand-written headers; read to EOF.
+
+    Reading to EOF doubles as the check that the daemon closed the
+    connection (a kept-alive one would hit the socket timeout).
+    """
+    host, port = server.server_address[:2]
+    with socket.create_connection((host, port), timeout=30) as sock:
+        sock.sendall(
+            b"POST /v1/spf_census_row HTTP/1.1\r\nHost: test\r\n"
+            + headers + b"\r\n"
+        )
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body.decode("utf-8"))
+
+
+class TestBoundaryErrors:
+    """Malformed requests get a 4xx JSON answer and the daemon serves on."""
+
+    def _still_serving(self, tcp_server, domain):
+        with _client(tcp_server) as client:
+            assert client.census_row(domain)["domain"] == domain
+            assert client.run_status()["service"]["errors"] == 0
+
+    @pytest.mark.parametrize("since", ["abc", -1])
+    def test_bad_since_400(self, tcp_server, domain, since):
+        with _client(tcp_server) as client:
+            status, body = client.request(
+                "patch_status_since", {"target": domain, "since": since}
+            )
+        assert status == 400
+        assert body["reason"] == "bad-since"
+        assert "Traceback" not in json.dumps(body)
+        self._still_serving(tcp_server, domain)
+
+    def test_negative_content_length_400(self, tcp_server, domain):
+        status, body = _raw_post(tcp_server, b"Content-Length: -5\r\n")
+        assert status == 400
+        assert "Content-Length" in body["error"]
+        self._still_serving(tcp_server, domain)
+
+    def test_oversized_body_413_unread(self, tcp_server, domain):
+        length = f"Content-Length: {MAX_BODY_BYTES + 1}\r\n".encode("ascii")
+        status, body = _raw_post(tcp_server, length)
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in body["error"]
+        self._still_serving(tcp_server, domain)
 
 
 class TestAdmissionOverHTTP:

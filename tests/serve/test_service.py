@@ -11,6 +11,7 @@ unaffected), unknown methods 404, domain-level refusals are 404s (not
 from __future__ import annotations
 
 import datetime as _dt
+import random
 import threading
 
 import pytest
@@ -18,6 +19,7 @@ import pytest
 from repro import api
 from repro.core.ethics import EthicsControls
 from repro.serve import PROBE_METHODS, ScanService, exact_percentile
+from repro.serve.service import _LatencyHistogram
 
 SCALE = 0.002
 SEED = 5
@@ -55,6 +57,33 @@ class TestExactPercentile:
             exact_percentile([], 0.5)
 
 
+class TestLatencyHistogram:
+    def test_quantiles_within_bucket_error(self, handle):
+        rng = random.Random(13)
+        samples = [rng.lognormvariate(2.0, 1.0) for _ in range(50_000)]
+        service = _service(handle)
+        for ms in samples:
+            service._latency.record(ms)
+        latency = service.stats()["latency_ms"]
+        assert latency["count"] == len(samples)
+        assert latency["max"] == round(max(samples), 3)
+        for name, q in (("p50", 0.50), ("p90", 0.90), ("p99", 0.99)):
+            exact = exact_percentile(samples, q)
+            assert abs(latency[name] - exact) <= 0.022 * exact, name
+
+    def test_bucket_count_bounded(self):
+        rng = random.Random(7)
+        histogram = _LatencyHistogram()
+        # Twelve decades either side of 1 ms, plus zero: the clamped
+        # end buckets absorb everything outside the bucket range.
+        for _ in range(10**6):
+            histogram.record(10.0 ** rng.uniform(-12.0, 12.0))
+        histogram.record(0.0)
+        assert histogram.count == 10**6 + 1
+        assert len(histogram._buckets) <= _LatencyHistogram.MAX_BUCKETS
+        assert _LatencyHistogram.MAX_BUCKETS <= 34 * 32 + 1
+
+
 class TestAdmission:
     def test_unknown_method_404(self, handle):
         with _service(handle) as service:
@@ -67,6 +96,17 @@ class TestAdmission:
             for method in PROBE_METHODS:
                 status, body = service.submit(method, {})
                 assert status == 400
+
+    @pytest.mark.parametrize("since", ["abc", -1, 1.5, True, None])
+    def test_bad_since_400_before_queueing(self, handle, domain, since):
+        # No dispatcher: a request that reached the queue would time out.
+        service = _service(handle, request_timeout=5)
+        status, body = service.submit(
+            "patch_status_since", {"target": domain, "since": since}
+        )
+        assert status == 400
+        assert body["reason"] == "bad-since"
+        assert service._queue.qsize() == 0
 
     def test_unknown_domain_is_404_not_500(self, handle):
         with _service(handle) as service:
