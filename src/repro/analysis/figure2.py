@@ -42,14 +42,13 @@ def build_figure2(sim: Simulation) -> List[Figure2Row]:
     result = sim.run()
     status = final_domain_status(sim)
     rows: List[Figure2Row] = []
+    initially_vulnerable = result.initial.vulnerable_domains()
     for group_name, domain_set in _GROUPS:
-        names = [
-            name
-            for name in result.initial.vulnerable_domains()
-            if domain_set is None
-            or (sim.population.get(name) is not None
-                and sim.population.get(name).in_set(domain_set))
-        ]
+        if domain_set is None:
+            names = initially_vulnerable
+        else:
+            members = sim.population.set_names(domain_set)
+            names = [name for name in initially_vulnerable if name in members]
         patched = sum(1 for n in names if status.get(n) == DomainStatus.PATCHED)
         vulnerable = sum(1 for n in names if status.get(n) == DomainStatus.VULNERABLE)
         rows.append(

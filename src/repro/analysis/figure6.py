@@ -50,12 +50,8 @@ def _series_for(
     vulnerable = result.initial.vulnerable_domains()
     out: List[VulnerabilitySeries] = []
     for group_name, domain_set in _SETS:
-        names = [
-            name
-            for name in vulnerable
-            if sim.population.get(name) is not None
-            and sim.population.get(name).in_set(domain_set)
-        ]
+        members = sim.population.set_names(domain_set)
+        names = [name for name in vulnerable if name in members]
         summaries = engine.round_summaries_domains(names)
         if cutoff is not None:
             summaries = [s for s in summaries if s.date <= cutoff]

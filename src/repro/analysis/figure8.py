@@ -31,12 +31,8 @@ class Figure8:
 def build_figure8(sim: Simulation) -> Figure8:
     result = sim.run()
     engine = sim.inference()
-    names = [
-        name
-        for name in result.initial.vulnerable_domains()
-        if sim.population.get(name) is not None
-        and sim.population.get(name).in_set(DomainSet.ALEXA_1000)
-    ]
+    members = sim.population.set_names(DomainSet.ALEXA_1000)
+    names = [name for name in result.initial.vulnerable_domains() if name in members]
     series = engine.round_summaries_domains(names)
     snapshot = {name: result.snapshot_status.get(name) for name in names}
     return Figure8(

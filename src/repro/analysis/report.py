@@ -3,12 +3,17 @@
 ``generate_report(sim)`` produces the document that EXPERIMENTS.md is
 built from: a paper-target scorecard followed by every regenerated table
 and figure, plus run provenance (scale, seed, population sizes).
+
+Each artifact is built once per report: :class:`ReportArtifacts` builds
+on first access through this module's ``build_*`` names and keeps the
+result, and the scorecard measures the same built rows the report
+renders.
 """
 
 from __future__ import annotations
 
 import io
-from typing import List, Optional
+from typing import Callable, Dict, List, Tuple
 
 from ..simulation import Simulation
 from . import (
@@ -44,6 +49,50 @@ from . import (
     render_table7,
 )
 from .paper_targets import TargetResult, evaluate_targets
+
+
+#: artifact → (builder inputs, renderer), in report order.  The builder is
+#: this module's ``build_<artifact>``, looked up when it runs.
+ARTIFACTS: Dict[str, Tuple[Callable[[Simulation], tuple], Callable[..., str]]] = {
+    "table1": (lambda sim: (sim.population,), render_table1),
+    "table2": (lambda sim: (sim.population,), render_table2),
+    "table3": (lambda sim: (sim.population, sim.run().initial), render_table3),
+    "table4": (lambda sim: (sim.population, sim.run().initial), render_table4),
+    "table5": (lambda sim: (sim,), render_table5),
+    "table6": (lambda sim: (), render_table6),
+    "table7": (lambda sim: (sim.run().initial,), render_table7),
+    "figure2": (lambda sim: (sim,), render_figure2),
+    "figure3": (lambda sim: (sim,), render_figure3),
+    "figure4": (lambda sim: (sim,), render_figure4),
+    "figure5": (lambda sim: (sim,), render_figure5),
+    "figure6": (lambda sim: (sim,), render_figure6),
+    "figure7": (lambda sim: (sim,), render_figure7),
+    "figure8": (lambda sim: (sim,), render_figure8),
+    "notification_funnel": (lambda sim: (sim,), render_notification_funnel),
+}
+
+
+class ReportArtifacts:
+    """The structured rows of every report artifact for one completed run.
+
+    ``built.table3`` builds Table 3 on first access and keeps it, so the
+    scorecard, the rendered blocks and any other reader share one build.
+    """
+
+    def __init__(self, sim: Simulation) -> None:
+        self.sim = sim
+
+    def __getattr__(self, name: str):
+        # Reached only for an artifact that is not built yet.
+        if name not in ARTIFACTS:
+            raise AttributeError(name)
+        inputs, _ = ARTIFACTS[name]
+        value = globals()[f"build_{name}"](*inputs(self.sim))
+        setattr(self, name, value)
+        return value
+
+    def render(self, name: str) -> str:
+        return ARTIFACTS[name][1](getattr(self, name))
 
 
 def _scorecard(results: List[TargetResult]) -> str:
@@ -94,8 +143,8 @@ def generate_report(sim: Simulation, *, title: str = "SPFail reproduction report
     write()
     write("## Paper-target scorecard")
     write()
-    results = evaluate_targets(sim)
-    write(_scorecard(results))
+    built = ReportArtifacts(sim)
+    write(_scorecard(evaluate_targets(sim, built)))
     write()
     write("## Probe-execution metrics")
     write()
@@ -162,37 +211,20 @@ def generate_report(sim: Simulation, *, title: str = "SPFail reproduction report
         "sideband, never here)."
     )
     write()
-    from ..obs.perf import campaign_counters
-
-    counters = campaign_counters(sim.campaign)
+    # Read when the campaign finished, so the report's own lookups (and
+    # any earlier report's) do not show here.
+    counters = sim.world_counters
     write("| counter | value |")
     write("|---|---|")
     for name in sorted(counters):
         write(f"| {name} | {counters[name]:,} |")
     write()
 
-    blocks = [
-        render_table1(build_table1(sim.population)),
-        render_table2(build_table2(sim.population)),
-        render_table3(build_table3(sim.population, result.initial)),
-        render_table4(build_table4(sim.population, result.initial)),
-        render_table5(build_table5(sim)),
-        render_table6(build_table6()),
-        render_table7(build_table7(result.initial)),
-        render_figure2(build_figure2(sim)),
-        render_figure3(build_figure3(sim)),
-        render_figure4(build_figure4(sim)),
-        render_figure5(build_figure5(sim)),
-        render_figure6(build_figure6(sim)),
-        render_figure7(build_figure7(sim)),
-        render_figure8(build_figure8(sim)),
-        render_notification_funnel(build_notification_funnel(sim)),
-    ]
     write("## Regenerated artifacts")
     write()
-    for block in blocks:
+    for name in ARTIFACTS:
         write("```")
-        write(block)
+        write(built.render(name))
         write("```")
         write()
     return out.getvalue()

@@ -19,7 +19,7 @@ refused only if *all* its addresses refused, and measured if *any* was.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Collection, List, Tuple
 
 from ..core.campaign import InitialMeasurement
 from ..core.detector import DetectionOutcome, ProbeMethod
@@ -57,7 +57,7 @@ class Table3Column:
     domains: OutcomeBuckets
 
 
-def _ip_buckets(initial: InitialMeasurement, ips: Sequence[str]) -> OutcomeBuckets:
+def _ip_buckets(initial: InitialMeasurement, ips: Collection[str]) -> OutcomeBuckets:
     buckets = OutcomeBuckets(total=len(ips))
     for ip in ips:
         record = initial.ip_records.get(ip)
@@ -90,7 +90,7 @@ def _ip_buckets(initial: InitialMeasurement, ips: Sequence[str]) -> OutcomeBucke
 
 
 def _domain_buckets(
-    initial: InitialMeasurement, names: Sequence[str]
+    initial: InitialMeasurement, names: Collection[str]
 ) -> OutcomeBuckets:
     buckets = OutcomeBuckets(total=len(names))
     for name in names:
@@ -139,18 +139,12 @@ def build_table3(
 ) -> List[Table3Column]:
     columns: List[Table3Column] = []
     for group_name, domain_set in _GROUPS:
-        names = [d.name for d in population.in_set(domain_set)]
-        ip_set: List[str] = []
-        seen: Set[str] = set()
-        for name in names:
-            for ip in initial.domain_ips.get(name, []):
-                if ip not in seen:
-                    seen.add(ip)
-                    ip_set.append(ip)
+        names = population.set_names(domain_set)
+        ips = {ip for name in names for ip in initial.domain_ips.get(name, [])}
         columns.append(
             Table3Column(
                 group=group_name,
-                addresses=_ip_buckets(initial, ip_set),
+                addresses=_ip_buckets(initial, ips),
                 domains=_domain_buckets(initial, names),
             )
         )

@@ -10,7 +10,7 @@ a quarter / a sixth expanding macros incorrectly in some way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Set, Tuple
+from typing import List, Tuple
 
 from ..core.campaign import DomainStatus, InitialMeasurement
 from ..core.detector import DetectionOutcome
@@ -36,28 +36,14 @@ class Table4Row:
     domains_vulnerable: int
 
 
-def _group_ips(
-    population: DomainPopulation,
-    initial: InitialMeasurement,
-    domain_set: DomainSet,
-) -> List[str]:
-    ips: List[str] = []
-    seen: Set[str] = set()
-    for domain in population.in_set(domain_set):
-        for ip in initial.domain_ips.get(domain.name, []):
-            if ip not in seen:
-                seen.add(ip)
-                ips.append(ip)
-    return ips
-
-
 def build_table4(
     population: DomainPopulation, initial: InitialMeasurement
 ) -> List[Table4Row]:
     rows: List[Table4Row] = []
     groups = list(_GROUPS) + [("Combined", DomainSet.ALEXA_TOP_LIST | DomainSet.TWO_WEEK_MX)]
     for group_name, domain_set in groups:
-        ips = _group_ips(population, initial, domain_set)
+        names = population.set_names(domain_set)
+        ips = {ip for name in names for ip in initial.domain_ips.get(name, [])}
         measured = [
             ip for ip in ips if initial.ip_records[ip].outcome.spf_measured
         ]
@@ -71,7 +57,6 @@ def build_table4(
             for ip in measured
             if initial.ip_records[ip].outcome == DetectionOutcome.ERRONEOUS
         ]
-        names = [d.name for d in population.in_set(domain_set)]
         domains_measured = sum(
             1
             for name in names

@@ -9,10 +9,10 @@ traces, metrics, and the throughput summary line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 from typing import Callable, Dict
 
-from .. import analysis
 from ..simulation import Simulation
 
 ARTIFACT_NAMES = (
@@ -23,30 +23,13 @@ ARTIFACT_NAMES = (
 
 
 def artifact_registry(sim: Simulation) -> Dict[str, Callable[[], str]]:
-    result = sim.run()
-    return {
-        "table1": lambda: analysis.render_table1(analysis.build_table1(sim.population)),
-        "table2": lambda: analysis.render_table2(analysis.build_table2(sim.population)),
-        "table3": lambda: analysis.render_table3(
-            analysis.build_table3(sim.population, result.initial)
-        ),
-        "table4": lambda: analysis.render_table4(
-            analysis.build_table4(sim.population, result.initial)
-        ),
-        "table5": lambda: analysis.render_table5(analysis.build_table5(sim)),
-        "table6": lambda: analysis.render_table6(analysis.build_table6()),
-        "table7": lambda: analysis.render_table7(analysis.build_table7(result.initial)),
-        "figure2": lambda: analysis.render_figure2(analysis.build_figure2(sim)),
-        "figure3": lambda: analysis.render_figure3(analysis.build_figure3(sim)),
-        "figure4": lambda: analysis.render_figure4(analysis.build_figure4(sim)),
-        "figure5": lambda: analysis.render_figure5(analysis.build_figure5(sim)),
-        "figure6": lambda: analysis.render_figure6(analysis.build_figure6(sim)),
-        "figure7": lambda: analysis.render_figure7(analysis.build_figure7(sim)),
-        "figure8": lambda: analysis.render_figure8(analysis.build_figure8(sim)),
-        "notification": lambda: analysis.render_notification_funnel(
-            analysis.build_notification_funnel(sim)
-        ),
-    }
+    """Artifact name → renderer; each artifact is built once, on first use."""
+    from ..analysis.report import ARTIFACTS, ReportArtifacts
+
+    built = ReportArtifacts(sim)
+    registry = {name: functools.partial(built.render, name) for name in ARTIFACTS}
+    registry["notification"] = registry.pop("notification_funnel")
+    return registry
 
 
 def write_trace(sim: Simulation, path: str) -> int:

@@ -12,6 +12,10 @@ assumption that MTAs do not regress after patching:
 Rounds where neither measurement nor inference applies are inconclusive.
 Domain-level status aggregates over the domain's initially vulnerable
 addresses: vulnerable while any is vulnerable, patched when all are.
+
+Lookups are O(1): each timeline indexes its observations by date, and
+the engine memoizes every (domain, date) status it aggregates, so the
+per-round series behind Figures 5-8 only sum cached statuses.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import datetime as _dt
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .campaign import InitialMeasurement, MeasurementRound
 from .detector import DetectionOutcome
@@ -37,17 +41,24 @@ class Provenance(enum.Enum):
     NONE = "none"
 
 
+_Status = Tuple[InferredStatus, Provenance]
+
+
 @dataclass
 class IpTimeline:
-    """One address's observation history and inference bounds."""
+    """One address's observations, indexed by date, and inference bounds.
+
+    When two observations share a date the first one is the measurement
+    for that date; every observation still moves the inference bounds.
+    """
 
     ip: str
-    observations: List[Tuple[_dt.datetime, DetectionOutcome]] = field(default_factory=list)
+    observations: Dict[_dt.datetime, DetectionOutcome] = field(default_factory=dict)
     last_vulnerable: Optional[_dt.datetime] = None
     first_patched: Optional[_dt.datetime] = None
 
     def observe(self, date: _dt.datetime, outcome: DetectionOutcome) -> None:
-        self.observations.append((date, outcome))
+        self.observations.setdefault(date, outcome)
         if outcome == DetectionOutcome.VULNERABLE:
             if self.last_vulnerable is None or date > self.last_vulnerable:
                 self.last_vulnerable = date
@@ -57,9 +68,7 @@ class IpTimeline:
 
     def status_at(self, date: _dt.datetime) -> Tuple[InferredStatus, Provenance]:
         """Status and how we know it, at one instant."""
-        measured = next(
-            (outcome for d, outcome in self.observations if d == date), None
-        )
+        measured = self.observations.get(date)
         if measured is not None and measured.spf_measured:
             status = (
                 InferredStatus.VULNERABLE
@@ -126,6 +135,8 @@ class InferenceEngine:
             self.domain_vulnerable_ips[name] = [
                 ip for ip in initial.domain_ips.get(name, []) if ip in vulnerable_ip_set
             ]
+        #: name → date → memoized :meth:`domain_status`.
+        self._domain_statuses: Dict[str, Dict[_dt.datetime, _Status]] = {}
 
     # -- status queries ---------------------------------------------------------
 
@@ -137,10 +148,17 @@ class InferenceEngine:
 
     def domain_status(self, name: str, date: _dt.datetime) -> Tuple[InferredStatus, Provenance]:
         """Vulnerable while any initially vulnerable IP is; patched when
-        all are; inconclusive otherwise."""
-        ips = self.domain_vulnerable_ips.get(name, [])
+        all are; inconclusive otherwise.  Computed once per (name, date)."""
+        ips = self.domain_vulnerable_ips.get(name)
         if not ips:
             return InferredStatus.INCONCLUSIVE, Provenance.NONE
+        by_date = self._domain_statuses.setdefault(name, {})
+        status = by_date.get(date)
+        if status is None:
+            status = by_date[date] = self._aggregate(ips, date)
+        return status
+
+    def _aggregate(self, ips: List[str], date: _dt.datetime) -> _Status:
         statuses = [self.ip_status(ip, date) for ip in ips]
         if any(s == InferredStatus.VULNERABLE for s, _ in statuses):
             provenance = (

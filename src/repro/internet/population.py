@@ -41,7 +41,7 @@ import weakref
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .rng import SeededRng
 from .tld import ALEXA_TLD_WEIGHTS, ALEXA_TOTAL, TWO_WEEK_TLD_WEIGHTS, TWO_WEEK_TOTAL
@@ -459,9 +459,9 @@ class DomainPopulation:
     retry loop and the need for reservation bookkeeping).
 
     Set statistics (:meth:`set_size`, :meth:`overlap`,
-    :meth:`tld_counts`) are closed-form where the generation scheme pins
-    them and cached otherwise — the Table 1/2 report builders call them
-    repeatedly per report.
+    :meth:`tld_counts`, :meth:`set_names`) are closed-form where the
+    generation scheme pins them and cached otherwise — the report
+    builders call them repeatedly per report.
     """
 
     def __init__(self, config: Optional[PopulationConfig] = None) -> None:
@@ -529,6 +529,35 @@ class DomainPopulation:
                 if flag_bits & mask:
                     out.append(self.domain_at(base + offset))
         return out
+
+    def set_names(self, domain_set: DomainSet) -> FrozenSet[str]:
+        """Names of every member of ``domain_set`` (cached).
+
+        Names rather than :class:`Domain` views: membership tests by the
+        report builders need nothing else, and names stay small.  One
+        table scan caches every single set; a union of sets is the union
+        of their names.
+        """
+        key = ("names", domain_set.value)
+        if key not in self._stats:
+            if ("names", DomainSet.ALEXA_TOP_LIST.value) not in self._stats:
+                self._scan_set_names()
+            if key not in self._stats:
+                self._stats[key] = frozenset().union(
+                    *(self.set_names(s) for s in _SINGLE_SETS if s & domain_set)
+                )
+        return self._stats[key]  # type: ignore[return-value]
+
+    def _scan_set_names(self) -> None:
+        members: Dict[DomainSet, List[str]] = {s: [] for s in _SINGLE_SETS}
+        for chunk_index in range(self.table.chunk_count):
+            chunk = self.table.chunk(chunk_index)
+            for name, flag_bits in zip(chunk.names, chunk.flags):
+                for domain_set, names in members.items():
+                    if flag_bits & domain_set.value:
+                        names.append(name)
+        for domain_set, names in members.items():
+            self._stats[("names", domain_set.value)] = frozenset(names)
 
     def set_size(self, domain_set: DomainSet) -> int:
         table = self.table

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace as _dc_replace
-from typing import Optional
+from typing import Dict, Optional
 
 from .api import RunConfig
 from .clock import SimulatedClock
@@ -43,6 +43,7 @@ from .internet.population import (
 )
 from .notification.delivery import NotificationCampaign, NotificationReport
 from .obs import Observation, observing
+from .obs.perf import campaign_counters
 
 #: Sentinel distinguishing "not passed" from an explicit ``None`` in the
 #: deprecated keyword shims of :meth:`Simulation.build`.
@@ -70,6 +71,11 @@ class Simulation:
     #: restored progress installed by :meth:`resume` (a
     #: :class:`repro.store.ResumeState`); :meth:`run` continues from it.
     _resume: Optional[object] = field(default=None, repr=False)
+    #: the world's access counters as :meth:`run` left them, so later
+    #: analysis lookups do not leak into what the report prints.
+    world_counters: Optional[Dict[str, int]] = field(default=None, repr=False)
+    #: the one inference engine over ``result`` (see :meth:`inference`).
+    _engine: Optional[InferenceEngine] = field(default=None, repr=False)
 
     @classmethod
     def build(
@@ -274,6 +280,7 @@ class Simulation:
                         self.result = self._run_campaign(writer)
                 else:
                     self.result = self._run_campaign(writer)
+                self.world_counters = campaign_counters(self.campaign)
             finally:
                 # Always release worker processes — a raising run must
                 # not leak live children (and a finished one is done
@@ -292,9 +299,15 @@ class Simulation:
         return self.campaign.run(store=writer)
 
     def inference(self) -> InferenceEngine:
-        """An inference engine over the (run) campaign's rounds."""
+        """The inference engine over the (run) campaign's rounds.
+
+        Built once per completed result and shared, so every figure and
+        exporter reuses its memoized statuses.
+        """
         result = self.run()
-        return InferenceEngine(result.initial, result.rounds)
+        if self._engine is None:
+            self._engine = InferenceEngine(result.initial, result.rounds)
+        return self._engine
 
     @property
     def notification_report(self) -> Optional[NotificationReport]:

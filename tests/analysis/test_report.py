@@ -1,13 +1,64 @@
 """Tests for the paper-target scorecard, report, and CSV export."""
 
+import collections
 import csv
 import io
 
 import pytest
 
+from repro.analysis import report as report_module
 from repro.analysis.export import EXPORTERS, export_all
 from repro.analysis.paper_targets import PAPER_TARGETS, evaluate_targets
-from repro.analysis.report import generate_report, targets_all_within_band
+from repro.analysis.report import (
+    ARTIFACTS,
+    ReportArtifacts,
+    generate_report,
+    targets_all_within_band,
+)
+from repro.api import RunConfig
+from repro.core.inference import InferenceEngine
+from repro.obs.perf import campaign_counters
+from repro.simulation import Simulation
+
+
+def _fresh_sim():
+    """A completed run no report or engine has touched yet."""
+    sim = Simulation.build(config=RunConfig(scale=0.005, seed=20211011))
+    sim.run()
+    return sim
+
+
+def _counter_table(report):
+    section = report.split("### World cache efficiency", 1)[1]
+    section = section.split("## Regenerated artifacts", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if len(cells) == 2 and cells[1].replace(",", "").isdigit():
+            rows[cells[0]] = int(cells[1].replace(",", ""))
+    return rows
+
+
+@pytest.fixture()
+def build_calls(monkeypatch):
+    """Counts calls of every ``report.build_*`` and engine constructions."""
+    calls = collections.Counter()
+    for name in [n for n in vars(report_module) if n.startswith("build_")]:
+        original = getattr(report_module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(report_module, name, counted)
+    init = InferenceEngine.__init__
+
+    def counted_init(self, *args, **kwargs):
+        calls["InferenceEngine"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(InferenceEngine, "__init__", counted_init)
+    return calls
 
 
 class TestPaperTargets:
@@ -95,3 +146,51 @@ class TestCsvExport:
         for path in written.values():
             assert path.exists()
             assert path.read_text().strip()
+
+
+class TestBuildOnce:
+    def test_report_builds_each_artifact_and_engine_once(self, build_calls):
+        sim = _fresh_sim()
+        generate_report(sim)
+        expected = {f"build_{name}": 1 for name in ARTIFACTS}
+        expected["InferenceEngine"] = 1
+        assert dict(build_calls) == expected
+
+    def test_scorecard_alone_builds_only_what_its_targets_read(self, build_calls):
+        evaluate_targets(_fresh_sim())
+        assert dict(build_calls) == {
+            "build_table3": 1,
+            "build_table4": 1,
+            "build_table7": 1,
+            "build_figure2": 1,
+            "build_figure7": 1,
+            "InferenceEngine": 1,
+        }
+
+    def test_standalone_scorecard_matches_report_rows(self, session_sim):
+        standalone = evaluate_targets(session_sim)
+        assert standalone == evaluate_targets(session_sim, ReportArtifacts(session_sim))
+        assert report_module._scorecard(standalone) in generate_report(session_sim)
+
+
+class TestReportIsAPureFunctionOfTheRun:
+    def test_two_reports_byte_identical(self, session_sim):
+        assert generate_report(session_sim) == generate_report(session_sim)
+
+    def test_counter_table_is_read_when_the_run_completes(self):
+        sim = _fresh_sim()
+        after_run = campaign_counters(sim.campaign)
+        first = generate_report(sim)
+        assert _counter_table(first) == after_run
+        # The report's own lookups moved the live counters, not the table.
+        assert campaign_counters(sim.campaign) != after_run
+        assert generate_report(sim) == first
+
+    @pytest.mark.parametrize("fresh", [True, False], ids=["fresh", "session"])
+    def test_csvs_unchanged_by_report(self, session_sim, tmp_path, fresh):
+        sim = _fresh_sim() if fresh else session_sim
+        before = export_all(sim, tmp_path / "before")
+        generate_report(sim)
+        after = export_all(sim, tmp_path / "after")
+        for name in EXPORTERS:
+            assert before[name].read_bytes() == after[name].read_bytes(), name

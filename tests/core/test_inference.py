@@ -18,6 +18,7 @@ from repro.core.inference import (
     IpTimeline,
     Provenance,
 )
+from repro.internet.population import DomainSet
 
 T0 = utc(2021, 10, 11)
 R1 = utc(2021, 10, 26)
@@ -99,6 +100,18 @@ class TestIpTimeline:
         status, provenance = timeline.status_at(R1)
         assert status == InferredStatus.INCONCLUSIVE
         assert provenance == Provenance.NONE
+
+    def test_first_observation_for_a_date_wins(self):
+        timeline = IpTimeline("10.0.0.1")
+        timeline.observe(R2, DetectionOutcome.VULNERABLE)
+        timeline.observe(R2, DetectionOutcome.COMPLIANT)
+        assert timeline.status_at(R2) == (
+            InferredStatus.VULNERABLE,
+            Provenance.MEASURED,
+        )
+        # The later observation still moves the patched bound.
+        assert timeline.first_patched == R2
+        assert timeline.status_at(R3) == (InferredStatus.PATCHED, Provenance.INFERRED)
 
     def test_failed_round_is_not_an_observation(self):
         timeline = IpTimeline("10.0.0.1")
@@ -240,3 +253,123 @@ class TestSummaries:
         engine = TestEngineDomainLevel().setup_engine()
         only_b = engine.round_summaries_domains(["b.com"])
         assert all(s.total == 1 for s in only_b)
+
+    def test_domain_status_computed_once_per_round(self):
+        engine = TestEngineDomainLevel().setup_engine()
+        calls = []
+        aggregate = engine._aggregate
+        engine._aggregate = lambda ips, date: calls.append(date) or aggregate(ips, date)
+        first = engine.round_summaries_domains()
+        assert engine.round_summaries_domains() == first
+        assert engine.round_summaries_domains(["b.com"]) == engine.round_summaries_domains(
+            ["b.com"]
+        )
+        assert len(calls) == len(engine.domain_vulnerable_ips) * len(engine.rounds)
+
+
+def _reference_ip_status(observations, date):
+    """The linear-scan rules, straight from Section 7.6."""
+    measured = next((outcome for d, outcome in observations if d == date), None)
+    if measured is not None and measured.spf_measured:
+        if measured == DetectionOutcome.VULNERABLE:
+            return InferredStatus.VULNERABLE, Provenance.MEASURED
+        return InferredStatus.PATCHED, Provenance.MEASURED
+    vulnerable = [d for d, o in observations if o == DetectionOutcome.VULNERABLE]
+    patched = [
+        d for d, o in observations
+        if o.spf_measured and o != DetectionOutcome.VULNERABLE
+    ]
+    if vulnerable and date <= max(vulnerable):
+        return InferredStatus.VULNERABLE, Provenance.INFERRED
+    if patched and date >= min(patched):
+        return InferredStatus.PATCHED, Provenance.INFERRED
+    return InferredStatus.INCONCLUSIVE, Provenance.NONE
+
+
+def _reference_domain_status(ip_statuses):
+    if not ip_statuses:
+        return InferredStatus.INCONCLUSIVE, Provenance.NONE
+    if any(s == InferredStatus.VULNERABLE for s, _ in ip_statuses):
+        measured = any(
+            s == InferredStatus.VULNERABLE and p == Provenance.MEASURED
+            for s, p in ip_statuses
+        )
+        return InferredStatus.VULNERABLE, (
+            Provenance.MEASURED if measured else Provenance.INFERRED
+        )
+    if all(s == InferredStatus.PATCHED for s, _ in ip_statuses):
+        measured = all(p == Provenance.MEASURED for _, p in ip_statuses)
+        return InferredStatus.PATCHED, (
+            Provenance.MEASURED if measured else Provenance.INFERRED
+        )
+    return InferredStatus.INCONCLUSIVE, Provenance.NONE
+
+
+class TestIndexedEngineMatchesReference:
+    """The date index and status memo change no answer on a real run."""
+
+    @pytest.fixture(scope="class")
+    def reference(self, session_sim):
+        result = session_sim.run()
+        observations = {
+            ip: [(result.initial.date, DetectionOutcome.VULNERABLE)]
+            for ip in result.initial.vulnerable_ips()
+        }
+        for round_ in result.rounds:
+            for ip, outcome in round_.results.items():
+                if ip in observations:
+                    observations[ip].append((round_.date, outcome))
+        dates = [round_.date for round_ in result.rounds]
+        ip_status = {
+            (ip, date): _reference_ip_status(history, date)
+            for ip, history in observations.items()
+            for date in dates
+        }
+        domain_status = {}
+        for name in result.initial.vulnerable_domains():
+            ips = [
+                ip for ip in result.initial.domain_ips.get(name, [])
+                if ip in observations
+            ]
+            for date in dates:
+                domain_status[name, date] = _reference_domain_status(
+                    [ip_status[ip, date] for ip in ips]
+                )
+        return dates, ip_status, domain_status
+
+    def test_every_tracked_ip_and_round(self, session_sim, reference):
+        _, ip_status, _ = reference
+        engine = session_sim.inference()
+        assert len(engine.timelines) == len({ip for ip, _ in ip_status})
+        for (ip, date), expected in ip_status.items():
+            assert engine.ip_status(ip, date) == expected, (ip, date)
+
+    def test_every_vulnerable_domain_and_round(self, session_sim, reference):
+        _, _, domain_status = reference
+        engine = session_sim.inference()
+        for (name, date), expected in domain_status.items():
+            assert engine.domain_status(name, date) == expected, (name, date)
+
+    @pytest.mark.parametrize(
+        "domain_set",
+        [None, DomainSet.ALEXA_TOP_LIST, DomainSet.ALEXA_1000, DomainSet.TWO_WEEK_MX,
+         DomainSet.TOP_EMAIL_PROVIDERS],
+    )
+    def test_round_summaries(self, session_sim, reference, domain_set):
+        dates, _, domain_status = reference
+        names = session_sim.run().initial.vulnerable_domains()
+        if domain_set is not None:
+            names = [
+                n for n in names if n in session_sim.population.set_names(domain_set)
+            ]
+        expected = [
+            InferenceEngine._summarize(
+                date, (domain_status[name, date] for name in names), len(names)
+            )
+            for date in dates
+        ]
+        engine = session_sim.inference()
+        summaries = engine.round_summaries_domains(
+            None if domain_set is None else names
+        )
+        assert summaries == expected

@@ -137,3 +137,24 @@ class TestDeterminism:
         a = generate_population(PopulationConfig(scale=0.005, seed=3))
         b = generate_population(PopulationConfig(scale=0.005, seed=4))
         assert [d.name for d in a.domains] != [d.name for d in b.domains]
+
+
+class TestSetNames:
+    @pytest.mark.parametrize(
+        "domain_set",
+        [
+            DomainSet.ALEXA_TOP_LIST,
+            DomainSet.ALEXA_1000,
+            DomainSet.TWO_WEEK_MX,
+            DomainSet.TOP_EMAIL_PROVIDERS,
+            DomainSet.ALEXA_TOP_LIST | DomainSet.TWO_WEEK_MX,
+        ],
+    )
+    def test_names_match_materialized_members(self, population, domain_set):
+        names = population.set_names(domain_set)
+        assert names == {d.name for d in population.in_set(domain_set)}
+        assert len(names) == population.set_size(domain_set)
+
+    def test_names_cached(self, population):
+        first = population.set_names(DomainSet.TWO_WEEK_MX)
+        assert population.set_names(DomainSet.TWO_WEEK_MX) is first

@@ -24,6 +24,9 @@ class TestBuild:
         engine = sim.inference()
         assert len(engine.rounds) == len(sim.run().rounds)
 
+    def test_one_inference_engine_per_result(self, session_sim):
+        assert session_sim.inference() is session_sim.inference()
+
 
 class TestShutdownOnFailure:
     def test_executor_released_when_the_campaign_raises(self, monkeypatch):
