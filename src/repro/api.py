@@ -380,9 +380,10 @@ class RunHandle:
     itself; it is the in-process object the serve daemon, the CLI, and
     embedders share.
 
-    Handles are *not* thread-safe: the serve layer funnels every
-    world-touching request through one dispatcher thread precisely so
-    the virtual clock and label allocator advance deterministically.
+    Handles are *not* thread-safe: the serve layer runs every
+    world-touching request under one world lock, one at a time,
+    precisely so the virtual clock and label allocator advance
+    deterministically.
     """
 
     def __init__(self, sim) -> None:

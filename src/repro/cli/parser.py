@@ -199,8 +199,9 @@ def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
     )
     listen.add_argument(
         "--queue-depth", type=int, default=64, metavar="N",
-        help="bounded dispatch queue; a full queue answers 429 instead of "
-        "building backlog (default 64)",
+        help="requests that may wait for the world behind the one "
+        "running; one more answers 429 instead of building backlog "
+        "(default 64)",
     )
     listen.add_argument(
         "--tenant-connections", type=int, default=250, metavar="N",

@@ -6,11 +6,16 @@ ROADMAP's scan-as-a-service item — "is this domain/MTA spoofable right
 now, and has it patched since round N?" — from a world that stays
 resident between requests.
 
-- :mod:`repro.serve.service` — admission (bounded queue → 429),
+- :mod:`repro.serve.service` — admission (bounded wait line → 429),
   per-tenant rate limits reusing :class:`repro.core.ethics.
-  EthicsControls`, single-dispatcher world access, latency accounting;
+  EthicsControls`, world-lock dispatch (each request runs on its
+  caller's thread, one at a time, in admission order), latency
+  accounting;
+- :mod:`repro.serve.http1` — the bounded HTTP/1.1 framing codec both
+  ends share (``Content-Length`` bodies, one ``sendall`` per message);
 - :mod:`repro.serve.httpd` — the ``POST /v1/<method>`` JSON listener
-  (TCP loopback or unix socket) on stdlib ``http.server``;
+  (TCP or unix socket): one thread per keep-alive connection, with a
+  connection cap and a per-connection socket timeout;
 - :mod:`repro.serve.client` — the matching typed client
   (:class:`ScanClient`), returning the same :class:`repro.api.
   ProbeResult` values the in-process API does;

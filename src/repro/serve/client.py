@@ -2,50 +2,25 @@
 
 :class:`ScanClient` speaks the ``/v1/<method>`` JSON protocol over TCP
 or a unix-domain socket, reusing one keep-alive connection per client
-instance (one client per thread in the load tester).  Probe answers
-deserialize into :class:`repro.api.ProbeResult` — the same value the
-in-process API returns — so a caller can switch between embedding the
-world and talking to a daemon without changing a line of result
-handling.
+instance (one client per thread in the load tester).  Messages are
+framed by :mod:`repro.serve.http1`, the codec the daemon itself uses:
+each request leaves in one ``sendall`` and each response is read from
+the connection's buffered file.  Probe answers deserialize into
+:class:`repro.api.ProbeResult` — the same value the in-process API
+returns — so a caller can switch between embedding the world and
+talking to a daemon without changing a line of result handling.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import socket
-from typing import Optional, Tuple
+from typing import BinaryIO, Optional, Tuple
 
 from ..api import ProbeResult
 from ..errors import ServeError
-
-
-class _TCPHTTPConnection(http.client.HTTPConnection):
-    """Plain TCP connection with Nagle disabled.
-
-    Headers and body go out as separate small writes; leaving Nagle on
-    lets the second write wait out the server's delayed ACK (~40ms per
-    request), which would dwarf the actual service time.
-    """
-
-    def connect(self) -> None:
-        super().connect()
-        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-
-
-class _UnixHTTPConnection(http.client.HTTPConnection):
-    """``http.client`` over an ``AF_UNIX`` socket path."""
-
-    def __init__(self, path: str, timeout: Optional[float] = None) -> None:
-        super().__init__("localhost", timeout=timeout)
-        self._path = path
-
-    def connect(self) -> None:
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        if self.timeout is not None:
-            sock.settimeout(self.timeout)
-        sock.connect(self._path)
-        self.sock = sock
+from . import http1
+from .http1 import FramingError
 
 
 class ScanClient:
@@ -65,32 +40,55 @@ class ScanClient:
         self.socket_path = socket_path
         self.tenant = tenant
         self.timeout = timeout
-        self._conn: Optional[http.client.HTTPConnection] = None
+        self._sock: Optional[socket.socket] = None
+        self._rfile: Optional[BinaryIO] = None
+        self._headers = (
+            ("Host", "localhost" if socket_path else f"{host}:{port}"),
+            ("Content-Type", "application/json"),
+        )
 
     # -- plumbing -------------------------------------------------------------
 
-    def _connection(self) -> http.client.HTTPConnection:
-        if self._conn is None:
-            if self.socket_path:
-                self._conn = _UnixHTTPConnection(
-                    self.socket_path, timeout=self.timeout
-                )
-            else:
-                self._conn = _TCPHTTPConnection(
-                    self.host, self.port, timeout=self.timeout
-                )
-        return self._conn
+    def _connect(self) -> None:
+        if self.socket_path:
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            try:
+                sock.settimeout(self.timeout)
+                sock.connect(self.socket_path)
+            except OSError:
+                sock.close()
+                raise
+        else:
+            sock = socket.create_connection((self.host, self.port), self.timeout)
+            # A request is one write, but never let Nagle hold it back
+            # waiting for the daemon's delayed ACK (~40 ms per round trip).
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock, self._rfile = sock, sock.makefile("rb")
 
     def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._sock is not None:
+            self._rfile.close()
+            self._sock.close()
+            self._sock = self._rfile = None
 
     def __enter__(self) -> "ScanClient":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
+
+    def _exchange(self, verb: str, path: str, body: bytes) -> Tuple[int, bytes]:
+        """Send one request on the kept-alive connection; read its answer."""
+        if self._sock is None:
+            self._connect()
+        self._sock.sendall(
+            http1.encode(f"{verb} {path} HTTP/1.1", self._headers, body)
+        )
+        status, headers = http1.read_response_head(self._rfile)
+        raw = http1.read_body(self._rfile, http1.content_length(headers))
+        if headers.get("connection", "").lower() == "close":
+            self.close()
+        return status, raw
 
     def request(
         self, method: str, payload: Optional[dict] = None
@@ -105,18 +103,10 @@ class ScanClient:
         body.setdefault("tenant", self.tenant)
         encoded = json.dumps(body).encode("utf-8")
         for attempt in (0, 1):
-            conn = self._connection()
             try:
-                conn.request(
-                    "POST",
-                    f"/v1/{method}",
-                    body=encoded,
-                    headers={"Content-Type": "application/json"},
-                )
-                response = conn.getresponse()
-                raw = response.read()
+                status, raw = self._exchange("POST", f"/v1/{method}", encoded)
                 break
-            except (OSError, http.client.HTTPException) as error:
+            except (OSError, FramingError) as error:
                 self.close()
                 if attempt:
                     raise ServeError(
@@ -128,7 +118,7 @@ class ScanClient:
             raise ServeError(
                 f"daemon answered non-JSON to {method!r}: {error}"
             ) from error
-        return response.status, decoded
+        return status, decoded
 
     def _expect_ok(self, method: str, payload: dict) -> dict:
         status, body = self.request(method, payload)
@@ -163,12 +153,9 @@ class ScanClient:
         return self._expect_ok("run_status", {})
 
     def healthz(self) -> bool:
-        conn = self._connection()
         try:
-            conn.request("GET", "/healthz")
-            response = conn.getresponse()
-            response.read()
-            return response.status == 200
-        except (OSError, http.client.HTTPException):
+            status, _ = self._exchange("GET", "/healthz", b"")
+        except (OSError, FramingError):
             self.close()
             return False
+        return status == 200

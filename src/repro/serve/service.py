@@ -1,27 +1,31 @@
-"""The scan service core: admission, dispatch, and latency accounting.
+"""The scan service core: admission, world-lock dispatch, and accounting.
 
 :class:`ScanService` turns a resident :class:`repro.api.RunHandle` into
 a request-serving engine.  The design splits into three small pieces:
 
-- **Admission.**  Requests enter a bounded queue
-  (``queue_depth``); a full queue is answered ``429 overloaded``
-  immediately rather than building unbounded backlog.  Probe requests
-  additionally pass per-tenant rate limiting *before* they are queued,
-  reusing :class:`repro.core.ethics.EthicsControls` verbatim: each
-  tenant gets its own controls instance, so one tenant re-probing a
-  target inside the minimum reconnect wait (or exceeding the
-  concurrency cap) is refused with ``429`` + ``Retry-After`` without
-  affecting anyone else.  The ethics machinery that keeps the *campaign*
-  polite toward remote servers is exactly the machinery that keeps
-  *tenants* polite toward the service.
+- **Admission.**  At most ``queue_depth`` requests may wait behind the
+  one running; one more is answered ``429 queue-full`` immediately
+  rather than building unbounded backlog.  Probe requests additionally
+  pass per-tenant rate limiting *before* they wait, reusing
+  :class:`repro.core.ethics.EthicsControls` verbatim: each tenant gets
+  its own controls instance, so one tenant re-probing a target inside
+  the minimum reconnect wait (or exceeding the concurrency cap) is
+  refused with ``429`` + ``Retry-After`` without affecting anyone else.
+  The ethics machinery that keeps the *campaign* polite toward remote
+  servers is exactly the machinery that keeps *tenants* polite toward
+  the service.
 
-- **Dispatch.**  A single dispatcher thread owns the world: every
-  world-touching request is executed serially against the handle, in
-  admission order.  This is a determinism decision, not a throughput
-  shortcut — the virtual clock, label allocator, and DNS caches must
-  advance in one well-defined order for probe results (and their trace
-  events) to stay byte-identical to batch runs of the same probes.
-  ``run_status`` bypasses the queue entirely (it only reads counters),
+- **Dispatch.**  The calling thread (one per connection in the daemon)
+  runs its world-touching request itself while it holds the service's
+  world lock, so requests execute one at a time against the handle.
+  Waiters take the lock in admission (FIFO) order: the releasing thread
+  hands it to the longest waiter.  Serial execution is a determinism
+  decision, not a throughput shortcut — the virtual clock, label
+  allocator, and DNS caches must advance in one well-defined order for
+  probe results (and their trace events) to stay byte-identical to
+  batch runs of the same probes.  A request that waits longer than
+  ``request_timeout`` gives up with ``504`` and never runs.
+  ``run_status`` bypasses the lock entirely (it only reads counters),
   so health checks stay responsive under load.
 
 - **Accounting.**  Every request records its wall-clock latency and
@@ -37,18 +41,17 @@ from __future__ import annotations
 
 import datetime as _dt
 import math
-import queue
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..api import ProbeRequest, RunHandle
 from ..core.ethics import EthicsControls, EthicsViolation
 from ..errors import ReproError, ServeError
 
-#: Methods the service answers; ``run_status`` never queues.
+#: Methods the service answers; ``run_status`` never waits for the world.
 METHODS = (
     "probe_domain",
     "check_mta",
@@ -58,7 +61,7 @@ METHODS = (
 )
 
 #: Methods that contact remote addresses and therefore pass the
-#: per-tenant ethics admission gate (reads are bounded by the queue).
+#: per-tenant ethics admission gate (reads are bounded by the wait line).
 PROBE_METHODS = ("probe_domain", "check_mta")
 
 
@@ -113,21 +116,6 @@ class _LatencyHistogram:
         return min(self.max, 2.0 ** ((index + 1) / self.BUCKETS_PER_OCTAVE))
 
 
-@dataclass
-class _Pending:
-    """One admitted request riding the dispatch queue."""
-
-    method: str
-    payload: dict
-    tenant: str
-    #: the ethics-admission key to release on completion (``None`` for
-    #: read methods, which never touched the limiter).
-    release_key: Optional[str] = None
-    done: threading.Event = field(default_factory=threading.Event)
-    status: int = 500
-    body: dict = field(default_factory=dict)
-
-
 class ScanService:
     """A request-serving front over one resident :class:`RunHandle`."""
 
@@ -142,13 +130,16 @@ class ScanService:
         self.handle = handle
         self.queue_depth = queue_depth
         self.request_timeout = request_timeout
-        self._queue: "queue.Queue[Optional[_Pending]]" = queue.Queue(
-            maxsize=queue_depth
-        )
         #: per-tenant rate limiters, created on first contact.
         self._limits_factory = tenant_limits or EthicsControls
         self._limiters: Dict[str, EthicsControls] = {}
         self._guard = threading.Lock()
+        # -- the world lock (guarded by _guard) --
+        #: a request holds the world; waiters queue FIFO for their turn.
+        self._busy = False
+        self._waiters: Deque[threading.Event] = deque()
+        self._idle = threading.Condition(self._guard)
+        self._closed = False
         # -- accounting (guarded by _guard) --
         self._latency = _LatencyHistogram()
         self._counts: Dict[str, int] = {}
@@ -156,29 +147,20 @@ class ScanService:
         self._rejected_ratelimit = 0
         self._errors = 0
         self._started_at = time.time()
-        self._thread: Optional[threading.Thread] = None
-        self._stopping = False
 
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> "ScanService":
-        if self._thread is not None:
-            return self
-        self._thread = threading.Thread(
-            target=self._dispatch_loop, name="repro-serve-dispatch", daemon=True
-        )
-        self._thread.start()
+        """(Re)open admission; a new service is already open."""
+        with self._guard:
+            self._closed = False
         return self
 
     def stop(self) -> None:
-        """Drain the dispatcher and stop accepting work (idempotent)."""
-        if self._thread is None:
-            return
-        self._stopping = True
-        self._queue.put(None)
-        self._thread.join()
-        self._thread = None
-        self._stopping = False
+        """Refuse new world requests and wait out admitted ones (idempotent)."""
+        with self._guard:
+            self._closed = True
+            self._idle.wait_for(lambda: not self._busy)
 
     def __enter__(self) -> "ScanService":
         return self.start()
@@ -216,14 +198,48 @@ class ScanService:
             }
         return target, None
 
+    def _take_world(self) -> Optional[Tuple[int, dict]]:
+        """Wait for the world lock; ``None`` once held, else the refusal."""
+        with self._guard:
+            if self._closed:
+                return 503, {"error": "service stopped", "reason": "stopped"}
+            if not self._busy:
+                self._busy = True
+                return None
+            if len(self._waiters) >= self.queue_depth:
+                self._rejected_queue += 1
+                return 429, {
+                    "error": f"service overloaded (queue depth {self.queue_depth})",
+                    "reason": "queue-full",
+                    "retry_after": 1.0,
+                }
+            turn = threading.Event()
+            self._waiters.append(turn)
+        if turn.wait(timeout=self.request_timeout):
+            return None
+        with self._guard:
+            if turn.is_set():  # handed over just as the wait timed out
+                return None
+            self._waiters.remove(turn)
+        return 504, {"error": "request timed out waiting for the world"}
+
+    def _release_world(self) -> None:
+        """Hand the world lock to the longest waiter, or free it."""
+        with self._guard:
+            if self._waiters:
+                self._waiters.popleft().set()
+            else:
+                self._busy = False
+                self._idle.notify_all()
+
     def submit(
         self, method: str, payload: dict, tenant: str = "public"
     ) -> Tuple[int, dict]:
         """Admit, execute, and answer one request (blocking).
 
-        Returns ``(http_status, body)``.  Callers (the HTTP layer, the
-        in-process client used by tests) block until the dispatcher has
-        answered; admission failures return immediately.
+        Returns ``(http_status, body)``.  The caller's thread runs the
+        request itself once it holds the world lock; admission failures
+        return immediately.
         """
         started = time.perf_counter()
         if method not in METHODS:
@@ -232,7 +248,7 @@ class ScanService:
                 "methods": list(METHODS),
             }
         if method == "run_status":
-            # Pure counter read: never queues, stays responsive under load.
+            # Pure counter read: never waits, stays responsive under load.
             status, body = 200, self.run_status()
             self._record(method, started, status)
             return status, body
@@ -257,59 +273,34 @@ class ScanService:
                     self._rejected_ratelimit += 1
                 return 429, refusal
 
-        pending = _Pending(
-            method=method, payload=payload, tenant=tenant,
-            release_key=release_key,
-        )
         try:
-            self._queue.put_nowait(pending)
-        except queue.Full:
-            if release_key is not None:
-                self._limiter(tenant).connection_closed()
-            with self._guard:
-                self._rejected_queue += 1
-            return 429, {
-                "error": f"service overloaded (queue depth {self.queue_depth})",
-                "reason": "queue-full",
-                "retry_after": 1.0,
-            }
-        if not pending.done.wait(timeout=self.request_timeout):
-            # The dispatcher will still finish the work and release the
-            # limiter slot; the client just stops waiting.
-            return 504, {"error": "request timed out in the dispatch queue"}
-        self._record(method, started, pending.status)
-        return pending.status, pending.body
-
-    # -- dispatch -------------------------------------------------------------
-
-    def _dispatch_loop(self) -> None:
-        while True:
-            pending = self._queue.get()
-            if pending is None:
-                return
+            refusal = self._take_world()
+            if refusal is not None:
+                return refusal
             try:
-                pending.status, pending.body = self._execute(pending)
+                status, body = self._execute(method, payload, tenant)
             except Exception:
                 with self._guard:
                     self._errors += 1
-                pending.status = 500
-                pending.body = {
+                status, body = 500, {
                     "error": "internal error",
                     "detail": traceback.format_exc(limit=5),
                 }
             finally:
-                if pending.release_key is not None:
-                    self._limiter(pending.tenant).connection_closed()
-                pending.done.set()
+                self._release_world()
+        finally:
+            if release_key is not None:
+                self._limiter(tenant).connection_closed()
+        self._record(method, started, status)
+        return status, body
 
-    def _execute(self, pending: _Pending) -> Tuple[int, dict]:
-        method, payload = pending.method, pending.payload
+    # -- execution ------------------------------------------------------------
+
+    def _execute(self, method: str, payload: dict, tenant: str) -> Tuple[int, dict]:
         try:
             if method in PROBE_METHODS:
                 request = ProbeRequest(
-                    kind=method,
-                    target=str(payload["target"]),
-                    tenant=pending.tenant,
+                    kind=method, target=str(payload["target"]), tenant=tenant
                 )
                 return 200, self.handle.probe(request).to_dict()
             if method == "spf_census_row":
@@ -328,8 +319,8 @@ class ScanService:
     def _record(self, method: str, started: float, status: int) -> None:
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         with self._guard:
-            # (5xx outcomes are counted where they arise — the dispatch
-            # loop — so a failed request is never double-counted here.)
+            # (5xx outcomes are counted where they arise, in submit, so
+            # a failed request is never double-counted here.)
             self._counts[method] = self._counts.get(method, 0) + 1
             self._latency.record(elapsed_ms)
         observation = self.handle.simulation.observation
@@ -347,7 +338,7 @@ class ScanService:
                 "rejected_rate_limit": self._rejected_ratelimit,
                 "errors": self._errors,
                 "queue_depth": self.queue_depth,
-                "queued_now": self._queue.qsize(),
+                "queued_now": len(self._waiters),
                 "uptime_seconds": round(time.time() - self._started_at, 3),
             }
             latency = self._latency

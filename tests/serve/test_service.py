@@ -1,7 +1,10 @@
 """Admission and dispatch behavior of :class:`ScanService`.
 
-The contracts under test: a full queue answers 429 immediately (no
-unbounded backlog), per-tenant rate limiting reuses
+The contracts under test: a request beyond the admission bound answers
+429 immediately (no unbounded backlog), world requests run one at a
+time in admission order, a waiter past its timeout answers 504 without
+running, a stopped service refuses world requests, per-tenant rate
+limiting reuses
 :class:`EthicsControls` (second probe of one target inside the
 reconnect wait → 429 with Retry-After; a different tenant is
 unaffected), unknown methods 404, domain-level refusals are 404s (not
@@ -12,7 +15,9 @@ from __future__ import annotations
 
 import datetime as _dt
 import random
+import sys
 import threading
+import time
 
 import pytest
 
@@ -98,15 +103,20 @@ class TestAdmission:
                 assert status == 400
 
     @pytest.mark.parametrize("since", ["abc", -1, 1.5, True, None])
-    def test_bad_since_400_before_queueing(self, handle, domain, since):
-        # No dispatcher: a request that reached the queue would time out.
+    def test_bad_since_400_before_queueing(
+        self, handle, domain, since, monkeypatch
+    ):
+        def reached(*args):
+            raise AssertionError("a bad since reached the world")
+
+        monkeypatch.setattr(handle, "patch_status_since", reached)
         service = _service(handle, request_timeout=5)
         status, body = service.submit(
             "patch_status_since", {"target": domain, "since": since}
         )
         assert status == 400
         assert body["reason"] == "bad-since"
-        assert service._queue.qsize() == 0
+        assert service.stats()["queued_now"] == 0
 
     def test_unknown_domain_is_404_not_500(self, handle):
         with _service(handle) as service:
@@ -117,7 +127,7 @@ class TestAdmission:
             assert "unknown domain" in body["error"]
 
     def test_queue_full_answers_429(self, handle, domain, monkeypatch):
-        """queue_depth=1 + a blocked dispatcher → next request refused."""
+        """queue_depth=1: one running plus one waiting → the next is refused."""
         release = threading.Event()
         entered = threading.Event()
         original = handle.census_row
@@ -131,7 +141,7 @@ class TestAdmission:
         service = _service(handle, queue_depth=1)
         service.start()
         try:
-            # First request occupies the dispatcher...
+            # First request holds the world...
             blocker = threading.Thread(
                 target=service.submit,
                 args=("spf_census_row", {"target": domain}),
@@ -139,7 +149,7 @@ class TestAdmission:
             )
             blocker.start()
             assert entered.wait(timeout=10)
-            # ...second fills the queue...
+            # ...second waits behind it...
             filler = threading.Thread(
                 target=service.submit,
                 args=("spf_census_row", {"target": domain}),
@@ -147,7 +157,7 @@ class TestAdmission:
             )
             filler.start()
             deadline = _dt.datetime.now() + _dt.timedelta(seconds=10)
-            while service._queue.qsize() < 1:
+            while service.stats()["queued_now"] < 1:
                 assert _dt.datetime.now() < deadline
             # ...third is refused immediately with queue-full.
             status, body = service.submit(
@@ -200,7 +210,7 @@ class TestAdmission:
             )
             filler.start()
             deadline = _dt.datetime.now() + _dt.timedelta(seconds=10)
-            while service._queue.qsize() < 1:
+            while service.stats()["queued_now"] < 1:
                 assert _dt.datetime.now() < deadline
             status, body = service.submit("probe_domain", {"target": domain})
             assert status == 429 and body["reason"] == "queue-full"
@@ -215,6 +225,133 @@ class TestAdmission:
             release.set()
             service.stop()
 
+
+
+def _hold_world(handle, monkeypatch):
+    """Make ``census_row`` block until released; return its controls."""
+    release, entered, order = threading.Event(), threading.Event(), []
+    original = handle.census_row
+
+    def slow_census(name):
+        order.append(name)
+        entered.set()
+        release.wait(timeout=30)
+        return original(name)
+
+    monkeypatch.setattr(handle, "census_row", slow_census)
+    return release, entered, order
+
+
+def _wait_queued(service, count):
+    deadline = time.monotonic() + 10
+    while service.stats()["queued_now"] < count:
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
+
+
+class TestWorldLock:
+    def test_waiters_run_in_admission_order(self, handle, monkeypatch):
+        release, entered, order = _hold_world(handle, monkeypatch)
+        table = handle.simulation.population.table
+        names = [table.name_at(index) for index in range(5)]
+        service = _service(handle)
+        threads = []
+        try:
+            for index, name in enumerate(names):
+                threads.append(threading.Thread(
+                    target=service.submit,
+                    args=("spf_census_row", {"target": name}), daemon=True,
+                ))
+                threads[-1].start()
+                if index == 0:
+                    assert entered.wait(timeout=10)
+                else:
+                    _wait_queued(service, index)
+            release.set()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            release.set()
+            service.stop()
+        assert order == names
+        assert service.stats()["queued_now"] == 0
+
+    def test_waiter_past_timeout_504_and_never_runs(
+        self, handle, domain, monkeypatch
+    ):
+        release, entered, order = _hold_world(handle, monkeypatch)
+        service = _service(handle, request_timeout=0.2)
+        blocker = threading.Thread(
+            target=service.submit,
+            args=("spf_census_row", {"target": domain}), daemon=True,
+        )
+        try:
+            blocker.start()
+            assert entered.wait(timeout=10)
+            status, body = service.submit("spf_census_row", {"target": "late"})
+            assert status == 504
+            assert "timed out" in body["error"]
+            assert service.stats()["queued_now"] == 0
+        finally:
+            release.set()
+            blocker.join(timeout=30)
+        assert not blocker.is_alive()
+        # The timed-out request left the line: it never ran, and the
+        # world is free for the next one.
+        assert order == [domain]
+        assert service.submit("spf_census_row", {"target": domain})[0] == 200
+        service.stop()
+
+    def test_stop_refuses_world_requests_until_restarted(self, handle, domain):
+        service = _service(handle)
+        service.stop()
+        status, body = service.submit("spf_census_row", {"target": domain})
+        assert status == 503 and body["reason"] == "stopped"
+        assert service.submit("run_status", {})[0] == 200
+        service.start()
+        assert service.submit("spf_census_row", {"target": domain})[0] == 200
+        service.stop()
+
+    def test_concurrent_submits_never_overlap(self, handle, domain, monkeypatch):
+        """More threads than cores, a tiny switch interval: requests still
+        run one at a time and every one is counted."""
+        original = handle.census_row
+        inside, peak, runs = [0], [0], [0]
+
+        def census(name):
+            inside[0] += 1
+            peak[0] = max(peak[0], inside[0])
+            runs[0] += 1
+            try:
+                return original(name)
+            finally:
+                inside[0] -= 1
+
+        monkeypatch.setattr(handle, "census_row", census)
+        service = _service(handle, queue_depth=16)
+        statuses = []
+
+        def client():
+            for _ in range(50):
+                statuses.append(service.submit("spf_census_row", {"target": domain})[0])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, daemon=True) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            service.stop()
+        assert statuses == [200] * 400
+        assert (peak[0], runs[0]) == (1, 400)
+        stats = service.stats()
+        assert stats["requests"] == 400 and stats["queued_now"] == 0
 
 class TestRateLimit:
     def _limited(self, handle, *, wait_seconds=90):
